@@ -4,101 +4,63 @@
 //!
 //! Run with `cargo bench -p noc-bench --features bench`.
 
-use flit_reservation::{FrConfig, FrRouter};
+use flit_reservation::FrConfig;
 use noc_bench::harness::Harness;
-use noc_engine::trace::{NullSink, SharedSink, VecSink};
-use noc_engine::Rng;
+use noc_engine::trace::{NullSink, SharedSink, TraceSink, VecSink};
 use noc_flow::LinkTiming;
-use noc_network::Network;
+use noc_metrics::NullRecorder;
+use noc_network::{FlowControl, Network, NetworkTask, Scenario, Stepping};
 use noc_topology::Mesh;
-use noc_traffic::{LoadSpec, TrafficGenerator};
-use noc_vc::{VcConfig, VcRouter};
+use noc_traffic::LoadSpec;
+use noc_vc::VcConfig;
 
 const CYCLES: u64 = 2_000;
 
+/// Steps a freshly built network `CYCLES` cycles and reports the flits
+/// it delivered.
+struct Cycles;
+
+impl<S: TraceSink> NetworkTask<S, NullRecorder> for Cycles {
+    type Output = u64;
+
+    fn run<R: Stepping>(self, mut net: Network<R, S>) -> u64 {
+        net.run_cycles(CYCLES);
+        net.tracker().delivered_flits()
+    }
+}
+
 fn bench_networks(h: &mut Harness) {
-    let mesh = Mesh::new(8, 8);
+    let at_half_load = |flow| {
+        let load = LoadSpec::fraction_of_capacity(0.5, 5);
+        Scenario::new(flow, Mesh::new(8, 8), load, 1)
+    };
+    let vc8 = at_half_load(FlowControl::VirtualChannel(
+        VcConfig::vc8(),
+        LinkTiming::fast_control(),
+    ));
+    let fr6 = at_half_load(FlowControl::FlitReservation(FrConfig::fr6()));
 
     h.bench("network_cycles/vc8@50%", |b| {
-        b.iter(|| {
-            let root = Rng::from_seed(1);
-            let load = LoadSpec::fraction_of_capacity(0.5, 5);
-            let generator = TrafficGenerator::uniform(mesh, load, root.fork(9));
-            let mut net = Network::new(mesh, LinkTiming::fast_control(), 2, generator, |n| {
-                VcRouter::new(mesh, n, VcConfig::vc8(), root.fork(n.raw() as u64))
-            });
-            net.run_cycles(CYCLES);
-            net.tracker().delivered_flits()
-        });
+        b.iter(|| vc8.with_network(NullSink, NullSink, NullRecorder, Cycles));
     });
-
     h.bench("network_cycles/fr6@50%", |b| {
-        b.iter(|| {
-            let root = Rng::from_seed(1);
-            let load = LoadSpec::fraction_of_capacity(0.5, 5);
-            let generator = TrafficGenerator::uniform(mesh, load, root.fork(9));
-            let cfg = FrConfig::fr6();
-            let mut net = Network::new(mesh, cfg.timing, cfg.control_lanes, generator, |n| {
-                FrRouter::new(mesh, n, cfg, root.fork(n.raw() as u64))
-            });
-            net.run_cycles(CYCLES);
-            net.tracker().delivered_flits()
-        });
+        b.iter(|| fr6.with_network(NullSink, NullSink, NullRecorder, Cycles));
     });
 
-    // The disabled-tracing path through `with_tracer`: must be within
-    // noise (< 2%) of the plain constructor above, since `NullSink`
-    // emit sites const-fold away.
+    // The disabled-tracing path: every sink is a `NullSink`, whose emit
+    // sites const-fold away, so this row repeats the one above and the
+    // two must agree within noise (< 2%).
     h.bench("network_cycles/fr6@50%+nullsink", |b| {
-        b.iter(|| {
-            let root = Rng::from_seed(1);
-            let load = LoadSpec::fraction_of_capacity(0.5, 5);
-            let generator = TrafficGenerator::uniform(mesh, load, root.fork(9));
-            let cfg = FrConfig::fr6();
-            let mut net = Network::with_tracer(
-                mesh,
-                cfg.timing,
-                cfg.control_lanes,
-                generator,
-                |n| FrRouter::with_tracer(mesh, n, cfg, root.fork(n.raw() as u64), NullSink),
-                NullSink,
-            );
-            net.run_cycles(CYCLES);
-            net.tracker().delivered_flits()
-        });
+        b.iter(|| fr6.with_network(NullSink, NullSink, NullRecorder, Cycles));
     });
 
     // Full recording into a shared in-memory sink: the honest price of
     // tracing when it is actually on.
     h.bench("network_cycles/fr6@50%+vecsink", |b| {
         b.iter(|| {
-            let root = Rng::from_seed(1);
-            let load = LoadSpec::fraction_of_capacity(0.5, 5);
-            let generator = TrafficGenerator::uniform(mesh, load, root.fork(9));
-            let cfg = FrConfig::fr6();
             let sink = SharedSink::new(VecSink::new());
-            let router_sink = sink.clone();
-            let mut net = Network::with_tracer(
-                mesh,
-                cfg.timing,
-                cfg.control_lanes,
-                generator,
-                move |n| {
-                    FrRouter::with_tracer(
-                        mesh,
-                        n,
-                        cfg,
-                        root.fork(n.raw() as u64),
-                        router_sink.clone(),
-                    )
-                },
-                sink.clone(),
-            );
-            net.run_cycles(CYCLES);
-            (
-                net.tracker().delivered_flits(),
-                sink.with(|s| s.events().len()),
-            )
+            let delivered = fr6.with_network(sink.clone(), sink.clone(), NullRecorder, Cycles);
+            (delivered, sink.with(|s| s.events().len()))
         });
     });
 }

@@ -9,7 +9,8 @@ use noc_topology::Mesh;
 
 fn main() {
     let mesh = Mesh::new(8, 8);
-    let sim = Scale::from_env().sim(seed_from_env());
+    let seed = seed_from_env();
+    let sim = Scale::from_env().sim();
     let loads = default_loads();
     // d = 4 control flits need room for 4-flit reservations, so the
     // comparison runs on the 13-buffer pool (a 5-flit packet needs 2
@@ -27,7 +28,7 @@ fn main() {
             .with_flits_per_control(4)
             .with_policy(policy);
         let fc = FlowControl::FlitReservation(cfg);
-        let mut curve = sweep_loads(&fc, mesh, 5, &loads, &sim, sweep_threads());
+        let mut curve = sweep_loads(&fc, mesh, 5, &loads, seed, &sim, sweep_threads());
         curve.label = format!("FR13/d=4/{name}");
         print_curve(&curve);
         curves.push(curve);

@@ -12,7 +12,8 @@ use noc_vc::VcConfig;
 
 fn main() {
     let mesh = Mesh::new(8, 8);
-    let sim = Scale::from_env().sim(seed_from_env());
+    let seed = seed_from_env();
+    let sim = Scale::from_env().sim();
     let loads = default_loads();
     let t = LinkTiming::fast_control();
     println!("Ablation: VC8 private queues vs shared buffer pool [TamFra92], 5-flit packets");
@@ -23,7 +24,7 @@ fn main() {
         ("VC8/shared-pool", VcConfig::vc8().with_shared_pool()),
     ] {
         let fc = FlowControl::VirtualChannel(cfg, t);
-        let mut curve = sweep_loads(&fc, mesh, 5, &loads, &sim, sweep_threads());
+        let mut curve = sweep_loads(&fc, mesh, 5, &loads, seed, &sim, sweep_threads());
         curve.label = name.to_string();
         print_curve(&curve);
         curves.push(curve);

@@ -11,7 +11,8 @@ use noc_traffic::{LoadSpec, TrafficGenerator};
 
 fn main() {
     let mesh = Mesh::new(8, 8);
-    let sim = Scale::from_env().sim(seed_from_env());
+    let seed = seed_from_env();
+    let sim = Scale::from_env().sim();
     println!("Ablation: buffer binding at reservation time (Figure 10)");
     println!("(the paper's deferred binding never transfers; early binding must shuffle flits)");
     println!(
@@ -23,7 +24,7 @@ fn main() {
             buffer_alloc: BufferAllocPolicy::AtReservation,
             ..FrConfig::fr6()
         };
-        let root = Rng::from_seed(sim.seed);
+        let root = Rng::from_seed(seed);
         let spec = LoadSpec::fraction_of_capacity(load, 5);
         let generator = TrafficGenerator::uniform(mesh, spec, root.fork(0x7261_6666_6963));
         let mut network = Network::new(mesh, cfg.timing, cfg.control_lanes, generator, |node| {

@@ -35,14 +35,15 @@
 //! `--quick` (or set `FRFC_SCALE=tiny`) for a seconds-long smoke run —
 //! CI uses this to keep the harness from bit-rotting.
 
-use flit_reservation::{FrConfig, FrRouter};
+use flit_reservation::FrConfig;
 use noc_bench::seed_from_env;
-use noc_engine::Rng;
-use noc_flow::{LinkTiming, Router};
-use noc_network::Network;
+use noc_engine::trace::NullSink;
+use noc_flow::LinkTiming;
+use noc_metrics::NullRecorder;
+use noc_network::{FlowControl, Network, NetworkTask, Scenario, Stepping};
 use noc_topology::Mesh;
-use noc_traffic::{LoadSpec, TrafficGenerator};
-use noc_vc::{VcConfig, VcRouter};
+use noc_traffic::LoadSpec;
+use noc_vc::VcConfig;
 use std::time::Instant;
 
 /// One measured configuration.
@@ -83,44 +84,40 @@ impl Mode {
     }
 }
 
-fn vc_network(mesh: Mesh, load: f64, seed: u64) -> Network<VcRouter> {
-    let root = Rng::from_seed(seed);
-    let spec = LoadSpec::fraction_of_capacity(load, 5);
-    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    Network::new(mesh, LinkTiming::fast_control(), 2, generator, |node| {
-        VcRouter::new(mesh, node, VcConfig::vc8(), root.fork(node.raw() as u64))
-    })
+/// Warms a network into steady state under `mode`, then times `measure`
+/// cycles and returns cycles per second.
+struct TimeRun {
+    mode: Mode,
+    warmup: u64,
+    measure: u64,
 }
 
-fn fr_network(mesh: Mesh, load: f64, seed: u64) -> Network<FrRouter> {
-    let root = Rng::from_seed(seed);
-    let spec = LoadSpec::fraction_of_capacity(load, 5);
-    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    let cfg = FrConfig::fr6();
-    Network::new(mesh, cfg.timing, cfg.control_lanes, generator, |node| {
-        FrRouter::new(mesh, node, cfg, root.fork(node.raw() as u64))
-    })
+impl NetworkTask<NullSink, NullRecorder> for TimeRun {
+    type Output = f64;
+
+    fn run<R: Stepping>(self, mut net: Network<R>) -> f64 {
+        net.set_idle_skip(!matches!(self.mode, Mode::StepAll));
+        let run = |net: &mut Network<R>, n| match self.mode {
+            Mode::Sharded(t) | Mode::Scale(t) => R::run_sharded(net, n, t),
+            Mode::StepAll | Mode::IdleSkip => net.run_cycles(n),
+        };
+        run(&mut net, self.warmup);
+        let start = Instant::now();
+        run(&mut net, self.measure);
+        // The network drops only after this returns, so drop cost stays
+        // out of the timed window.
+        self.measure as f64 / start.elapsed().as_secs_f64().max(1e-9)
+    }
 }
 
-/// Warm the network into steady state, then time `measure` cycles.
-fn time_run<R: Router + Send>(mut net: Network<R>, mode: Mode, warmup: u64, measure: u64) -> f64 {
-    match mode {
-        Mode::StepAll => net.set_idle_skip(false),
-        Mode::IdleSkip | Mode::Sharded(_) | Mode::Scale(_) => net.set_idle_skip(true),
-    }
-    match mode {
-        Mode::Sharded(n) | Mode::Scale(n) => net.run_cycles_sharded(warmup, n),
-        _ => net.run_cycles(warmup),
-    }
-    let start = Instant::now();
-    match mode {
-        Mode::Sharded(n) | Mode::Scale(n) => net.run_cycles_sharded(measure, n),
-        _ => net.run_cycles(measure),
-    }
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
-    // Keep the network alive through the timer so drop cost is excluded.
-    drop(net);
-    measure as f64 / secs
+/// Times `router` (`vc8` or `fr6`) on `mesh` at `load`.
+fn time_run(router: &str, mesh: Mesh, load: f64, seed: u64, task: TimeRun) -> f64 {
+    let flow = match router {
+        "vc8" => FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control()),
+        _ => FlowControl::FlitReservation(FrConfig::fr6()),
+    };
+    let load = LoadSpec::fraction_of_capacity(load, 5);
+    Scenario::new(flow, mesh, load, seed).with_network(NullSink, NullSink, NullRecorder, task)
 }
 
 fn json_escape(s: &str) -> String {
@@ -157,10 +154,12 @@ fn main() {
     for (_, load) in loads {
         for mode in modes {
             for router in ["vc8", "fr6"] {
-                let cps = match router {
-                    "vc8" => time_run(vc_network(mesh, load, seed), mode, warmup, measure),
-                    _ => time_run(fr_network(mesh, load, seed), mode, warmup, measure),
+                let task = TimeRun {
+                    mode,
+                    warmup,
+                    measure,
                 };
+                let cps = time_run(router, mesh, load, seed, task);
                 println!(
                     "{:<6} {:>5.2} {:<12} {:>8} {:>14.0}",
                     router,
@@ -199,20 +198,12 @@ fn main() {
     for router in ["vc8", "fr6"] {
         for n in [1usize, 2, 4, 8] {
             let mode = Mode::Scale(n);
-            let cps = match router {
-                "vc8" => time_run(
-                    vc_network(scale_mesh, scale_load, seed),
-                    mode,
-                    scale_warmup,
-                    scale_measure,
-                ),
-                _ => time_run(
-                    fr_network(scale_mesh, scale_load, seed),
-                    mode,
-                    scale_warmup,
-                    scale_measure,
-                ),
+            let task = TimeRun {
+                mode,
+                warmup: scale_warmup,
+                measure: scale_measure,
             };
+            let cps = time_run(router, scale_mesh, scale_load, seed, task);
             println!(
                 "{:<6} {:>5.2} {:<12} {:>8} {:>14.0}",
                 router,

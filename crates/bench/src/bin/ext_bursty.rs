@@ -12,9 +12,9 @@ use noc_topology::Mesh;
 use noc_traffic::{InjectionKind, LoadSpec, TrafficGenerator, Uniform};
 use noc_vc::{VcConfig, VcRouter};
 
-fn run(kind: InjectionKind, load: f64, fr: bool, sim: &noc_network::SimConfig) -> f64 {
+fn run(kind: InjectionKind, load: f64, fr: bool, seed: u64, sim: &noc_network::SimConfig) -> f64 {
     let mesh = Mesh::new(8, 8);
-    let root = Rng::from_seed(sim.seed);
+    let root = Rng::from_seed(seed);
     let spec = LoadSpec::fraction_of_capacity(load, 5);
     let generator = TrafficGenerator::new(mesh, spec, Box::new(Uniform), kind, root.fork(1));
     if fr {
@@ -32,7 +32,8 @@ fn run(kind: InjectionKind, load: f64, fr: bool, sim: &noc_network::SimConfig) -
 }
 
 fn main() {
-    let sim = Scale::from_env().sim(seed_from_env());
+    let seed = seed_from_env();
+    let sim = Scale::from_env().sim();
     println!("Extension: smooth vs bursty injection at equal mean load (5-flit packets)");
     println!(
         "\n{:>8} {:>16} {:>16} {:>16} {:>16}",
@@ -46,10 +47,10 @@ fn main() {
         println!(
             "{:>7.0}% {:>15.1}c {:>15.1}c {:>15.1}c {:>15.1}c",
             load * 100.0,
-            run(InjectionKind::ConstantRate, load, false, &sim),
-            run(bursty, load, false, &sim),
-            run(InjectionKind::ConstantRate, load, true, &sim),
-            run(bursty, load, true, &sim),
+            run(InjectionKind::ConstantRate, load, false, seed, &sim),
+            run(bursty, load, false, seed, &sim),
+            run(InjectionKind::ConstantRate, load, true, seed, &sim),
+            run(bursty, load, true, seed, &sim),
         );
     }
 }

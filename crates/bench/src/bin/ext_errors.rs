@@ -12,7 +12,8 @@ use noc_traffic::{LoadSpec, TrafficGenerator};
 
 fn main() {
     let mesh = Mesh::new(8, 8);
-    let sim = Scale::from_env().sim(seed_from_env());
+    let seed = seed_from_env();
+    let sim = Scale::from_env().sim();
     println!("Extension: control-wire error rate vs latency (FR6, 5-flit, 50% load)");
     println!(
         "\n{:>12} {:>12} {:>12} {:>14} {:>10}",
@@ -20,7 +21,7 @@ fn main() {
     );
     for rate in [0.0, 0.001, 0.01, 0.05, 0.1] {
         let cfg = FrConfig::fr6();
-        let root = Rng::from_seed(sim.seed);
+        let root = Rng::from_seed(seed);
         let load = LoadSpec::fraction_of_capacity(0.5, 5);
         let generator = TrafficGenerator::uniform(mesh, load, root.fork(1));
         let mut net = Network::new(mesh, cfg.timing, cfg.control_lanes, generator, |n| {

@@ -4,13 +4,14 @@
 
 use flit_reservation::FrConfig;
 use noc_bench::{seed_from_env, Scale};
-use noc_network::FlowControl;
+use noc_network::{run, FlowControl, Instrument, Scenario};
 use noc_topology::Mesh;
 use noc_traffic::LoadSpec;
 
 fn main() {
     let mesh = Mesh::new(8, 8);
-    let sim = Scale::from_env().sim(seed_from_env());
+    let seed = seed_from_env();
+    let sim = Scale::from_env().sim();
     println!("Extension: plesiochronous sync margin (FR6, 5-flit packets)");
     println!(
         "\n{:>8} {:>14} {:>14} {:>14}",
@@ -21,7 +22,10 @@ fn main() {
         let mut row = format!("{:>7.0}%", load * 100.0);
         for margin in [0u64, 1, 2] {
             let fc = FlowControl::FlitReservation(FrConfig::fr6().with_sync_margin(margin));
-            let r = fc.run(mesh, spec, &sim);
+            let scenario = Scenario::new(fc, mesh, spec, seed);
+            let r = run(&scenario, &sim, Instrument::None)
+                .expect("untraced runs cannot fail")
+                .result;
             if r.completed {
                 row.push_str(&format!(" {:>13.1}c", r.mean_latency()));
             } else {

@@ -16,21 +16,24 @@ use noc_bench::{seed_from_env, Scale};
 use noc_faults::FaultPlan;
 use noc_flow::LinkTiming;
 use noc_metrics::Json;
-use noc_network::{FaultSummary, FlowControl, RunResult, SimConfig};
+use noc_network::{run, FlowControl, Instrument, Scenario, SimConfig};
 use noc_topology::Mesh;
 use noc_traffic::LoadSpec;
 use noc_vc::VcConfig;
 
-/// Runs one faulty point and returns the sidecar row for it.
+/// Runs `scenario` with `plan` armed and returns the sidecar row for it.
 fn point(
-    fc: &FlowControl,
+    scenario: &Scenario,
     name: String,
-    mesh: Mesh,
-    load: LoadSpec,
     sim: &SimConfig,
-    plan: &FaultPlan,
+    plan: FaultPlan,
 ) -> (String, Vec<(String, Json)>) {
-    let (r, fs): (RunResult, FaultSummary) = fc.run_faulty(mesh, load, sim, plan);
+    let scenario = Scenario {
+        fault: Some(plan.clone()),
+        ..scenario.clone()
+    };
+    let out = run(&scenario, sim, Instrument::None).expect("untraced runs cannot fail");
+    let (r, fs) = (out.result, out.faults.expect("a plan was armed"));
     let c = fs.counters;
     let lat = if r.completed {
         format!("{:.1}", r.mean_latency())
@@ -99,7 +102,7 @@ fn main() {
         Scale::from_env()
     };
     let seed = seed_from_env();
-    let mut sim = scale.sim(seed);
+    let mut sim = scale.sim();
     if quick {
         sim.sample_packets = sim.sample_packets.min(500);
     }
@@ -127,17 +130,16 @@ fn main() {
         FlowControl::FlitReservation(FrConfig::fr6()),
     ] {
         let label = fc.label();
+        let scenario = Scenario::new(fc, mesh, load, seed);
         for &rate in rates {
             let mut plan = FaultPlan::quiet(seed);
             plan.data_corrupt_rate = rate;
             plan.control_drop_rate = rate;
             rows.push(point(
-                &fc,
+                &scenario,
                 format!("{label}/r={rate:.0e}"),
-                mesh,
-                load,
                 &sim,
-                &plan,
+                plan,
             ));
         }
         // One permanent link failure on top of a 1e-3 transient rate:
@@ -145,14 +147,7 @@ fn main() {
         let mut plan = FaultPlan::randomized(seed, mesh);
         plan.data_corrupt_rate = 1e-3;
         plan.control_drop_rate = 1e-3;
-        rows.push(point(
-            &fc,
-            format!("{label}/dead-link"),
-            mesh,
-            load,
-            &sim,
-            &plan,
-        ));
+        rows.push(point(&scenario, format!("{label}/dead-link"), &sim, plan));
     }
 
     let m = manifest("fault_sweep", scale, seed, "VC8/FR6 fault-rate sweep");

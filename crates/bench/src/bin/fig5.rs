@@ -8,58 +8,22 @@
 
 use flit_reservation::FrConfig;
 use noc_bench::report::{manifest, write_curves_json};
-use noc_bench::{default_loads, print_curve, print_summary, seed_from_env, sweep_threads, Scale};
+use noc_bench::{
+    default_loads, print_curve, print_summary, seed_from_env, sweep_threads, trace_out_arg,
+    write_provenance_trace, Scale,
+};
 use noc_flow::LinkTiming;
-use noc_metrics::write_json_file;
-use noc_network::{sweep_loads, FlowControl};
-use noc_provenance::chrome_trace;
+use noc_network::{sweep_loads, FlowControl, Scenario};
 use noc_topology::Mesh;
 use noc_traffic::LoadSpec;
 use noc_vc::VcConfig;
 
-fn trace_out_arg() -> Option<String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.as_slice() {
-        [] => None,
-        [flag, path] if flag == "--trace-out" => Some(path.clone()),
-        _ => {
-            eprintln!("usage: fig5 [--trace-out <path>]");
-            std::process::exit(2)
-        }
-    }
-}
-
-/// Traces `fc` at `offered` load and writes the Perfetto file to `path`.
-fn write_trace(fc: &FlowControl, mesh: Mesh, sim: &noc_network::SimConfig, path: &str) {
-    let sample = std::env::var("FRFC_PROV_SAMPLE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4);
-    let offered = 0.5;
-    let load = LoadSpec::fraction_of_capacity(offered, 5);
-    let (_, report) = fc.run_traced(mesh, load, sim, sample);
-    let doc = chrome_trace(&report, mesh.width());
-    match write_json_file(std::path::Path::new(path), &doc) {
-        Ok(()) => println!(
-            "wrote {path}: {} @ {:.0}% load, {} flit spans (open in ui.perfetto.dev)",
-            fc.label(),
-            offered * 100.0,
-            report.records.len()
-        ),
-        Err(e) => {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
-    let trace_out = trace_out_arg();
+    let trace_out = trace_out_arg("fig5");
     let mesh = Mesh::new(8, 8);
     let scale = Scale::from_env();
     let seed = seed_from_env();
-    let sim = scale.sim(seed);
+    let sim = scale.sim();
     let loads = default_loads();
     let t = LinkTiming::fast_control();
     let configs = [
@@ -73,7 +37,7 @@ fn main() {
     let threads = sweep_threads();
     let mut curves = Vec::new();
     for fc in &configs {
-        let curve = sweep_loads(fc, mesh, 5, &loads, &sim, threads);
+        let curve = sweep_loads(fc, mesh, 5, &loads, seed, &sim, threads);
         print_curve(&curve);
         curves.push(curve);
     }
@@ -82,11 +46,8 @@ fn main() {
     m.threads = threads as u64;
     write_curves_json(&m, &curves);
     if let Some(path) = trace_out {
-        write_trace(
-            &FlowControl::FlitReservation(FrConfig::fr6()),
-            mesh,
-            &sim,
-            &path,
-        );
+        let fr6 = FlowControl::FlitReservation(FrConfig::fr6());
+        let load = LoadSpec::fraction_of_capacity(0.5, 5);
+        write_provenance_trace(&Scenario::new(fr6, mesh, load, seed), &sim, "FR6", &path);
     }
 }

@@ -13,7 +13,7 @@ fn main() {
     let mesh = Mesh::new(8, 8);
     let scale = Scale::from_env();
     let seed = seed_from_env();
-    let sim = scale.sim(seed);
+    let sim = scale.sim();
     let loads = default_loads();
     let t = LinkTiming::fast_control();
     let configs = [
@@ -29,7 +29,7 @@ fn main() {
     let threads = sweep_threads();
     let mut curves = Vec::new();
     for fc in &configs {
-        let curve = sweep_loads(fc, mesh, 21, &loads, &sim, threads);
+        let curve = sweep_loads(fc, mesh, 21, &loads, seed, &sim, threads);
         print_curve(&curve);
         curves.push(curve);
     }

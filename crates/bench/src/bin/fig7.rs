@@ -12,7 +12,7 @@ fn main() {
     let mesh = Mesh::new(8, 8);
     let scale = Scale::from_env();
     let seed = seed_from_env();
-    let sim = scale.sim(seed);
+    let sim = scale.sim();
     let loads = default_loads();
     println!("Figure 7: FR6 with scheduling horizon 16/32/64/128, 5-flit packets");
     println!("(paper: within 10% of optimum at 16; little gain beyond 32)");
@@ -20,7 +20,7 @@ fn main() {
     let mut curves = Vec::new();
     for horizon in [16u64, 32, 64, 128] {
         let fc = FlowControl::FlitReservation(FrConfig::fr6().with_horizon(horizon));
-        let mut curve = sweep_loads(&fc, mesh, 5, &loads, &sim, threads);
+        let mut curve = sweep_loads(&fc, mesh, 5, &loads, seed, &sim, threads);
         curve.label = format!("FR6/s={horizon}");
         print_curve(&curve);
         curves.push(curve);

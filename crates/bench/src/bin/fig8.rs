@@ -14,7 +14,7 @@ fn main() {
     let mesh = Mesh::new(8, 8);
     let scale = Scale::from_env();
     let seed = seed_from_env();
-    let sim = scale.sim(seed);
+    let sim = scale.sim();
     let loads = default_loads();
     println!("Figure 8: FR6 leading control, lead = 1/2/4 cycles, all wires 1 cycle");
     println!("(paper: throughput independent of lead; ~75% capacity)");
@@ -23,7 +23,7 @@ fn main() {
     for lead in [1u64, 2, 4] {
         let cfg = FrConfig::fr6().with_timing(LinkTiming::leading_control(lead));
         let fc = FlowControl::FlitReservation(cfg);
-        let mut curve = sweep_loads(&fc, mesh, 5, &loads, &sim, threads);
+        let mut curve = sweep_loads(&fc, mesh, 5, &loads, seed, &sim, threads);
         curve.label = format!("FR6/lead={lead}");
         print_curve(&curve);
         curves.push(curve);

@@ -9,33 +9,22 @@
 
 use flit_reservation::FrConfig;
 use noc_bench::report::{manifest, write_curves_json};
-use noc_bench::{default_loads, print_curve, print_summary, seed_from_env, sweep_threads, Scale};
+use noc_bench::{
+    default_loads, print_curve, print_summary, seed_from_env, sweep_threads, trace_out_arg,
+    write_provenance_trace, Scale,
+};
 use noc_flow::LinkTiming;
-use noc_metrics::write_json_file;
-use noc_network::{sweep_loads, FlowControl};
-use noc_provenance::chrome_trace;
+use noc_network::{sweep_loads, FlowControl, Scenario};
 use noc_topology::Mesh;
 use noc_traffic::LoadSpec;
 use noc_vc::VcConfig;
 
-fn trace_out_arg() -> Option<String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.as_slice() {
-        [] => None,
-        [flag, path] if flag == "--trace-out" => Some(path.clone()),
-        _ => {
-            eprintln!("usage: fig9 [--trace-out <path>]");
-            std::process::exit(2)
-        }
-    }
-}
-
 fn main() {
-    let trace_out = trace_out_arg();
+    let trace_out = trace_out_arg("fig9");
     let mesh = Mesh::new(8, 8);
     let scale = Scale::from_env();
     let seed = seed_from_env();
-    let sim = scale.sim(seed);
+    let sim = scale.sim();
     let loads = default_loads();
     let wires = LinkTiming::leading_control(1);
     let vc_wires = wires.vc_baseline_of();
@@ -50,7 +39,7 @@ fn main() {
     let threads = sweep_threads();
     let mut curves = Vec::new();
     for fc in &configs {
-        let mut curve = sweep_loads(fc, mesh, 5, &loads, &sim, threads);
+        let mut curve = sweep_loads(fc, mesh, 5, &loads, seed, &sim, threads);
         if matches!(fc, FlowControl::FlitReservation(_)) {
             curve.label = format!("{}/lead=1", curve.label);
         }
@@ -63,23 +52,8 @@ fn main() {
     write_curves_json(&m, &curves);
     if let Some(path) = trace_out {
         let fc = FlowControl::FlitReservation(FrConfig::fr6().with_timing(wires));
-        let sample = std::env::var("FRFC_PROV_SAMPLE")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(4);
         let load = LoadSpec::fraction_of_capacity(0.5, 5);
-        let (_, report) = fc.run_traced(mesh, load, &sim, sample);
-        let doc = chrome_trace(&report, mesh.width());
-        match write_json_file(std::path::Path::new(&path), &doc) {
-            Ok(()) => println!(
-                "wrote {path}: FR6/lead=1 @ 50% load, {} flit spans (open in ui.perfetto.dev)",
-                report.records.len()
-            ),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-        }
+        let scenario = Scenario::new(fc, mesh, load, seed);
+        write_provenance_trace(&scenario, &sim, "FR6/lead=1", &path);
     }
 }

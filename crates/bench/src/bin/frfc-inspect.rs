@@ -4,7 +4,8 @@
 //! `run_blackbox` on a watchdog/panic/drain-cap trigger, or by
 //! `capture_at_cycle` as a checkpoint) is one JSON document holding the
 //! flight-recorder ring, the complete network state dump with its
-//! digest, and the `ReplaySpec` that rebuilds the run. This bin reads
+//! digest, and the `replay` section (the `Scenario` plus its
+//! `Recording`) that rebuilds the run. This bin reads
 //! those documents back:
 //!
 //! * `show <sidecar>` — pretty-prints the trigger, manifest, the ring's
@@ -15,16 +16,18 @@
 //! * `diff <a> <b>` — structural diff of two sidecars' state dumps
 //!   (full documents when either lacks a `state` section).
 //! * `replay <sidecar> [--threads N]` — rebuilds the run from the
-//!   sidecar's replay spec, re-runs it to the captured cycle and
+//!   sidecar's replay section, re-runs it to the captured cycle and
 //!   verifies the live state digest matches the dump bit for bit.
 //! * `--self-check` — constructs a dead-link livelock, proves the
 //!   progress watchdog trips, round-trips the sidecar through disk and
 //!   verifies replay digests at 1/4/8 threads. CI runs this stage.
 
+use flit_reservation::FrConfig;
 use noc_faults::{DeadLink, FaultPlan};
 use noc_metrics::{json_diff, write_json_file, Json, JsonDiff};
-use noc_network::{replay_to_cycle, run_blackbox, ReplaySpec, Trigger};
+use noc_network::{replay_to_cycle, run_blackbox, FlowControl, Recording, Scenario, Trigger};
 use noc_topology::{Mesh, Port};
+use noc_traffic::LoadSpec;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -347,17 +350,23 @@ fn replay(doc: &Json, threads: usize) -> Result<bool, String> {
 
 // ---------------------------------------------------------- self-check
 
-/// The spec the self-check runs: FR6 on a 4×4 mesh where every
+/// The scenario the self-check runs: FR6 on a 4×4 mesh where every
 /// eastbound link out of column 0 dies at cycle 0. Packets injected in
 /// column 0 for destinations east of it can never deliver, so once the
 /// deliverable traffic drains the network makes no progress with
 /// packets still in flight — the constructed livelock the progress
 /// watchdog must catch.
-fn livelock_spec() -> ReplaySpec {
+fn livelock_scenario() -> Scenario {
     let mesh = Mesh::new(4, 4);
-    let mut spec = ReplaySpec::fr6_small(0xDEAD_0001);
-    spec.watchdog = Some(500);
-    spec.fault = Some(FaultPlan {
+    let fr6 = FlowControl::FlitReservation(FrConfig::fr6());
+    let mut scenario = Scenario::new(
+        fr6,
+        mesh,
+        LoadSpec::fraction_of_capacity(0.3, 5),
+        0xDEAD_0001,
+    );
+    scenario.watchdog = Some(500);
+    scenario.fault = Some(FaultPlan {
         dead_links: (0..4)
             .map(|y| DeadLink {
                 node: mesh.node_at(0, y),
@@ -367,7 +376,7 @@ fn livelock_spec() -> ReplaySpec {
             .collect(),
         ..FaultPlan::quiet(0xFA_11)
     });
-    spec
+    scenario
 }
 
 /// End-to-end validation of the blackbox layer, run by CI: the watchdog
@@ -376,12 +385,12 @@ fn livelock_spec() -> ReplaySpec {
 /// at 1, 4 and 8 threads.
 fn self_check() -> Result<(), String> {
     println!("frfc-inspect self-check");
-    let spec = livelock_spec();
+    let scenario = livelock_scenario();
     println!(
         "  [1/4] running the dead-link livelock (watchdog {} cycles) ...",
-        spec.watchdog.unwrap_or(0)
+        scenario.watchdog.unwrap_or(0)
     );
-    let run = run_blackbox(&spec, 1)?;
+    let run = run_blackbox(&scenario, &Recording::default())?;
     if run.trigger != Trigger::Watchdog {
         return Err(format!(
             "expected the watchdog to trip, got {:?} after {} cycles ({})",

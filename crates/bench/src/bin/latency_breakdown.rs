@@ -22,23 +22,14 @@
 
 use flit_reservation::FrConfig;
 use noc_bench::report::{manifest, write_chrome_trace, write_rows_json};
-use noc_bench::{seed_from_env, Scale};
+use noc_bench::{prov_sample, seed_from_env, Scale};
 use noc_flow::LinkTiming;
 use noc_metrics::Json;
-use noc_network::FlowControl;
+use noc_network::{run, FlowControl, Instrument, Scenario};
 use noc_provenance::{chrome_trace, Phase, ProvenanceReport};
 use noc_topology::Mesh;
 use noc_traffic::LoadSpec;
 use noc_vc::VcConfig;
-
-/// Packet sampling divisor from `FRFC_PROV_SAMPLE` (default 4).
-fn sample_every() -> u64 {
-    std::env::var("FRFC_PROV_SAMPLE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4)
-}
 
 fn parse_args() -> (Vec<f64>, Option<String>) {
     let mut loads = vec![0.10, 0.55];
@@ -126,8 +117,8 @@ fn main() {
     let mesh = Mesh::new(8, 8);
     let scale = Scale::from_env();
     let seed = seed_from_env();
-    let sim = scale.sim(seed);
-    let sample = sample_every();
+    let sim = scale.sim();
+    let sample = prov_sample();
     let configs = [
         FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control()),
         FlowControl::FlitReservation(FrConfig::fr6()),
@@ -143,7 +134,12 @@ fn main() {
         let label = fc.label();
         for &load in &loads {
             let spec = LoadSpec::fraction_of_capacity(load, 5);
-            let (result, report) = fc.run_traced(mesh, spec, &sim, sample);
+            let traced = Instrument::Traced {
+                sample_every: sample,
+            };
+            let out = run(&Scenario::new(fc.clone(), mesh, spec, seed), &sim, traced)
+                .expect("sequential traced runs cannot fail");
+            let (result, report) = (out.result, out.provenance.expect("traced"));
             assert_eq!(
                 report.malformed, 0,
                 "{label}@{load}: provenance reconstruction is malformed"

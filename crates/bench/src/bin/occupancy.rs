@@ -13,7 +13,7 @@ use noc_bench::report::{manifest, write_metrics_json, write_rows_json};
 use noc_bench::{seed_from_env, Scale};
 use noc_flow::LinkTiming;
 use noc_metrics::Json;
-use noc_network::FlowControl;
+use noc_network::{run, FlowControl, Instrument, Scenario};
 use noc_topology::Mesh;
 use noc_traffic::LoadSpec;
 use noc_vc::VcConfig;
@@ -22,7 +22,7 @@ fn main() {
     let mesh = Mesh::new(8, 8);
     let scale = Scale::from_env();
     let seed = seed_from_env();
-    let sim = scale.sim(seed);
+    let sim = scale.sim();
     // The network probes the mesh-centre router's West input; query the
     // same pool from the registry.
     let probe_router = (mesh.height() / 2) * mesh.width() + mesh.width() / 2;
@@ -49,7 +49,10 @@ fn main() {
     let mut rows = Vec::new();
     for (fc, load) in &cases {
         let spec = LoadSpec::fraction_of_capacity(*load, 21);
-        let (r, registry) = fc.run_metered(mesh, spec, &sim, 64);
+        let scenario = Scenario::new(fc.clone(), mesh, spec, seed);
+        let metered = Instrument::Metered { sample_period: 64 };
+        let out = run(&scenario, &sim, metered).expect("untraced runs cannot fail");
+        let (r, registry) = (out.result, out.registry.expect("metered"));
         // The registry gauges cover the whole run (warm-up included);
         // the probe counters cover the measurement window only. Both
         // describe the same pool.

@@ -16,7 +16,8 @@ use noc_vc::VcConfig;
 
 fn main() {
     let mesh = Mesh::new(8, 8);
-    let sim = Scale::from_env().sim(seed_from_env());
+    let seed = seed_from_env();
+    let sim = Scale::from_env().sim();
     let loads = default_loads();
     let t = LinkTiming::fast_control();
     let configs = [
@@ -29,7 +30,7 @@ fn main() {
     println!("Related work lineage: SAF → VCT → wormhole → VC → FR (5-flit packets)");
     let mut curves = Vec::new();
     for fc in &configs {
-        let curve = sweep_loads(fc, mesh, 5, &loads, &sim, sweep_threads());
+        let curve = sweep_loads(fc, mesh, 5, &loads, seed, &sim, sweep_threads());
         print_curve(&curve);
         curves.push(curve);
     }

@@ -27,54 +27,58 @@ use noc_bench::{seed_from_env, Scale};
 use noc_faults::FaultPlan;
 use noc_flow::LinkTiming;
 use noc_metrics::{strip_nondeterministic, Json, RunManifest, SCHEMA_VERSION};
-use noc_network::{FaultSummary, FlowControl, RunResult, SimConfig};
+use noc_network::{
+    run, FaultSummary, FlowControl, Instrument, RunOutput, RunResult, Scenario, SimConfig,
+};
 use noc_topology::Mesh;
 use noc_traffic::LoadSpec;
 use noc_vc::VcConfig;
+
+/// Runs `scenario` (always sequential here) with `instrument` attached.
+fn go(scenario: &Scenario, sim: &SimConfig, instrument: Instrument) -> RunOutput {
+    run(scenario, sim, instrument).expect("sequential runs cannot fail")
+}
 
 fn health_check(sim: &SimConfig, loads: &[f64], lead_loads: &[f64]) {
     let mesh = Mesh::new(8, 8);
     let fast = LinkTiming::fast_control();
     let lead = LinkTiming::leading_control(1);
-    println!("fast control, 5-flit (paper base: VC 32, FR 27):");
-    for (name, fc) in [
-        ("VC8", FlowControl::VirtualChannel(VcConfig::vc8(), fast)),
-        ("VC16", FlowControl::VirtualChannel(VcConfig::vc16(), fast)),
-        ("FR6", FlowControl::FlitReservation(FrConfig::fr6())),
-        ("FR13", FlowControl::FlitReservation(FrConfig::fr13())),
-    ] {
-        print!("{name}:");
-        for &frac in loads {
-            let r = fc.run(mesh, LoadSpec::fraction_of_capacity(frac, 5), sim);
-            if r.completed {
-                print!("  {:.0}%:{:.0}", frac * 100.0, r.mean_latency());
-            } else {
-                print!("  {:.0}%:SAT", frac * 100.0);
-            }
-        }
-        println!();
-    }
-    println!("leading control lead=1, 5-flit (paper base: both 15; 50%: FR 19 VC 21):");
-    for (name, fc) in [
+    let sections = [
         (
-            "VC8",
-            FlowControl::VirtualChannel(VcConfig::vc8(), lead.vc_baseline_of()),
+            "fast control, 5-flit (paper base: VC 32, FR 27):",
+            loads,
+            vec![
+                FlowControl::VirtualChannel(VcConfig::vc8(), fast),
+                FlowControl::VirtualChannel(VcConfig::vc16(), fast),
+                FlowControl::FlitReservation(FrConfig::fr6()),
+                FlowControl::FlitReservation(FrConfig::fr13()),
+            ],
         ),
         (
-            "FR6",
-            FlowControl::FlitReservation(FrConfig::fr6().with_timing(lead)),
+            "leading control lead=1, 5-flit (paper base: both 15; 50%: FR 19 VC 21):",
+            lead_loads,
+            vec![
+                FlowControl::VirtualChannel(VcConfig::vc8(), lead.vc_baseline_of()),
+                FlowControl::FlitReservation(FrConfig::fr6().with_timing(lead)),
+            ],
         ),
-    ] {
-        print!("{name}:");
-        for &frac in lead_loads {
-            let r = fc.run(mesh, LoadSpec::fraction_of_capacity(frac, 5), sim);
-            if r.completed {
-                print!("  {:.0}%:{:.0}", frac * 100.0, r.mean_latency());
-            } else {
-                print!("  {:.0}%:SAT", frac * 100.0);
+    ];
+    for (title, loads, configs) in sections {
+        println!("{title}");
+        for fc in configs {
+            print!("{}:", fc.label());
+            for &frac in loads {
+                let load = LoadSpec::fraction_of_capacity(frac, 5);
+                let scenario = Scenario::new(fc.clone(), mesh, load, 7);
+                let r = go(&scenario, sim, Instrument::None).result;
+                if r.completed {
+                    print!("  {:.0}%:{:.0}", frac * 100.0, r.mean_latency());
+                } else {
+                    print!("  {:.0}%:SAT", frac * 100.0);
+                }
             }
+            println!();
         }
-        println!();
     }
 }
 
@@ -202,10 +206,13 @@ fn metrics_check(scale: Scale, seed: u64, sim: &SimConfig) {
         FlowControl::FlitReservation(FrConfig::fr6()),
     ] {
         let label = fc.label();
+        let scenario = Scenario::new(fc, mesh, load, seed);
+        let metered = Instrument::Metered { sample_period: 64 };
         // Zero perturbation: plain and metered runs must agree exactly.
-        let plain = fc.run(mesh, load, sim);
-        let (metered, registry) = fc.run_metered(mesh, load, sim, 64);
-        assert_zero_perturbation(&plain, &metered, &label);
+        let plain = go(&scenario, sim, Instrument::None).result;
+        let out = go(&scenario, sim, metered);
+        let (metered_result, registry) = (out.result, out.registry.expect("metered"));
+        assert_zero_perturbation(&plain, &metered_result, &label);
 
         // Export, parse back, validate the contract.
         let m = manifest(
@@ -219,7 +226,7 @@ fn metrics_check(scale: Scale, seed: u64, sim: &SimConfig) {
 
         // Same-seed determinism: a second metered run must export
         // byte-identical JSON once wall-clock data is stripped.
-        let (_, registry2) = fc.run_metered(mesh, load, sim, 64);
+        let registry2 = go(&scenario, sim, metered).registry.expect("metered");
         let m2 = RunManifest::new(m.experiment.clone(), seed, scale.name(), label.clone());
         let mut doc2 = registry2.to_json(&m2);
         let mut doc1 = doc;
@@ -311,7 +318,7 @@ fn validate_chrome_trace(doc: &Json, label: &str) {
     }
 }
 
-fn provenance_check(sim: &SimConfig) {
+fn provenance_check(sim: &SimConfig, seed: u64) {
     let mesh = Mesh::new(8, 8);
     let offered = 0.5;
     let load = LoadSpec::fraction_of_capacity(offered, 5);
@@ -325,10 +332,13 @@ fn provenance_check(sim: &SimConfig) {
         FlowControl::FlitReservation(FrConfig::fr6()),
     ] {
         let label = fc.label();
+        let scenario = Scenario::new(fc, mesh, load, seed);
+        let traced_by = Instrument::Traced { sample_every: 2 };
         // Zero perturbation: the traced run's RunResult must be
         // bit-identical to the plain run's.
-        let plain = fc.run(mesh, load, sim);
-        let (traced, report) = fc.run_traced(mesh, load, sim, 2);
+        let plain = go(&scenario, sim, Instrument::None).result;
+        let out = go(&scenario, sim, traced_by);
+        let (traced, report) = (out.result, out.provenance.expect("traced"));
         assert_zero_perturbation(&plain, &traced, &label);
 
         // Reconstruction: clean fold, and every record's phase cycles
@@ -378,7 +388,7 @@ fn provenance_check(sim: &SimConfig) {
         let parsed = Json::parse(&text)
             .unwrap_or_else(|e| panic!("{} is not valid JSON: {e}", path.display()));
         validate_chrome_trace(&parsed, &label);
-        let (_, report2) = fc.run_traced(mesh, load, sim, 2);
+        let report2 = go(&scenario, sim, traced_by).provenance.expect("traced");
         assert_eq!(
             doc.render(),
             noc_provenance::chrome_trace(&report2, mesh.width()).render(),
@@ -418,10 +428,19 @@ fn faults_check(sim: &SimConfig, seed: u64) {
         FlowControl::FlitReservation(FrConfig::fr6()),
     ] {
         let label = fc.label();
-        let plain = fc.run(mesh, load, sim);
+        let scenario = Scenario::new(fc, mesh, load, seed);
+        let with_plan = |plan: &FaultPlan| {
+            let faulty = Scenario {
+                fault: Some(plan.clone()),
+                ..scenario.clone()
+            };
+            let out = go(&faulty, sim, Instrument::None);
+            (out.result, out.faults.expect("a plan was armed"))
+        };
+        let plain = go(&scenario, sim, Instrument::None).result;
 
         // Zero-cost-when-off: an inactive plan must not perturb anything.
-        let (quiet, qs) = fc.run_faulty(mesh, load, sim, &FaultPlan::quiet(seed));
+        let (quiet, qs) = with_plan(&FaultPlan::quiet(seed));
         assert_zero_perturbation(&plain, &quiet, &label);
         assert_eq!(
             qs,
@@ -435,7 +454,7 @@ fn faults_check(sim: &SimConfig, seed: u64) {
         for d in &mut plan.dead_links {
             d.at_cycle = d.at_cycle.min(64);
         }
-        let (faulty, fs) = fc.run_faulty(mesh, load, sim, &plan);
+        let (faulty, fs) = with_plan(&plan);
         assert!(
             faulty.completed,
             "{label}: fault run saturated under {}",
@@ -462,7 +481,7 @@ fn faults_check(sim: &SimConfig, seed: u64) {
 
         // Same plan, same seed: the fault schedule is part of the run's
         // identity, so a repeat must reproduce it exactly.
-        let (again, fs2) = fc.run_faulty(mesh, load, sim, &plan);
+        let (again, fs2) = with_plan(&plan);
         assert_eq!(
             faulty.end_cycle, again.end_cycle,
             "{label}: same-plan fault runs diverged"
@@ -495,9 +514,9 @@ fn main() {
     } else {
         Scale::from_env()
     };
-    let mut sim = SimConfig::quick(7);
+    let mut sim = SimConfig::quick();
     if quick {
-        sim = Scale::Tiny.sim(7);
+        sim = Scale::Tiny.sim();
         sim.sample_packets = 400;
     } else {
         sim.sample_packets = 1500;
@@ -514,16 +533,16 @@ fn main() {
     }
 
     if metrics {
-        let mut msim = scale.sim(seed);
+        let mut msim = scale.sim();
         if quick {
             msim.sample_packets = msim.sample_packets.min(600);
         }
         metrics_check(scale, seed, &msim);
-        provenance_check(&msim);
+        provenance_check(&msim, seed);
     }
 
     if faults {
-        let mut fsim = scale.sim(seed);
+        let mut fsim = scale.sim();
         if quick {
             fsim.sample_packets = fsim.sample_packets.min(500);
         }

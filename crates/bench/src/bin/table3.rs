@@ -9,13 +9,12 @@ use noc_network::{sweep_loads, FlowControl};
 use noc_topology::Mesh;
 use noc_vc::VcConfig;
 
-fn regime(
-    title: &str,
-    configs: &[FlowControl],
-    mesh: Mesh,
-    length: u32,
-    sim: &noc_network::SimConfig,
-) {
+/// Sweeps `configs` on the 8×8 mesh with `length`-flit packets and
+/// prints one summary row per configuration.
+fn regime(title: &str, configs: &[FlowControl], length: u32) {
+    let mesh = Mesh::new(8, 8);
+    let seed = seed_from_env();
+    let sim = Scale::from_env().sim();
     println!("\n== {title} ==");
     println!(
         "{:>8} {:>14} {:>18} {:>12}",
@@ -25,7 +24,7 @@ fn regime(
     // base latency and a 50% point for the mid-load row.
     let loads = [0.05, 0.3, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9];
     for fc in configs {
-        let curve = sweep_loads(fc, mesh, length, &loads, sim, sweep_threads());
+        let curve = sweep_loads(fc, mesh, length, &loads, seed, &sim, sweep_threads());
         let base = curve.base_latency();
         let mid = curve
             .latency_at(0.5)
@@ -43,8 +42,6 @@ fn regime(
 }
 
 fn main() {
-    let mesh = Mesh::new(8, 8);
-    let sim = Scale::from_env().sim(seed_from_env());
     let fast = LinkTiming::fast_control();
     let lead = LinkTiming::leading_control(1);
 
@@ -60,14 +57,8 @@ fn main() {
         FlowControl::VirtualChannel(VcConfig::vc16(), fast),
         FlowControl::VirtualChannel(VcConfig::vc32(), fast),
     ];
-    regime("Fast control, 5-flit packets", &fast_configs, mesh, 5, &sim);
-    regime(
-        "Fast control, 21-flit packets",
-        &fast_configs,
-        mesh,
-        21,
-        &sim,
-    );
+    regime("Fast control, 5-flit packets", &fast_configs, 5);
+    regime("Fast control, 21-flit packets", &fast_configs, 21);
 
     let lead_configs = [
         FlowControl::FlitReservation(FrConfig::fr6().with_timing(lead)),
@@ -79,8 +70,6 @@ fn main() {
     regime(
         "Leading control (1 cycle), 5-flit packets",
         &lead_configs,
-        mesh,
         5,
-        &sim,
     );
 }

@@ -26,7 +26,7 @@ use noc_bench::{seed_from_env, Scale};
 use noc_metrics::{
     strip_nondeterministic, write_json_file, Json, MetricsRegistry, WindowKind, SCHEMA_VERSION,
 };
-use noc_network::{FlowControl, TelemetryRun};
+use noc_network::{run, FlowControl, Instrument, RunOutput, Scenario, SimConfig};
 use noc_topology::Mesh;
 use noc_traffic::LoadSpec;
 
@@ -82,8 +82,24 @@ fn saturation_onset(pairs: &[(u64, f64, f64)]) -> Option<u64> {
     })
 }
 
-fn print_dashboard(label: &str, load: f64, run: &TelemetryRun) {
-    let reg = &run.registry;
+/// Runs FR6 at `load` on `threads` workers with windows of
+/// `1 << window_log2` cycles and the profiler armed.
+fn telemetry(load: f64, seed: u64, threads: usize, sim: &SimConfig, window_log2: u32) -> RunOutput {
+    let fc = FlowControl::FlitReservation(FrConfig::fr6());
+    let load = LoadSpec::fraction_of_capacity(load, 5);
+    let scenario = Scenario {
+        threads,
+        ..Scenario::new(fc, Mesh::new(8, 8), load, seed)
+    };
+    let instrument = Instrument::Telemetry {
+        sample_period: 0,
+        window_log2,
+    };
+    run(&scenario, sim, instrument).expect("telemetry runs are untraced")
+}
+
+fn print_dashboard(label: &str, load: f64, run: &RunOutput) {
+    let reg = run.registry.as_ref().expect("telemetry fills a registry");
     let window_cycles = reg
         .window("net.offered_flits")
         .map_or(0, |w| 1u64 << w.log2);
@@ -130,8 +146,8 @@ fn print_dashboard(label: &str, load: f64, run: &TelemetryRun) {
     }
 }
 
-fn print_profile(run: &TelemetryRun) {
-    let p = &run.profile;
+fn print_profile(run: &RunOutput) {
+    let p = run.profile.as_ref().expect("telemetry profiles");
     let ms = |ns: u64| ns as f64 / 1.0e6;
     println!(
         "  threads {} | {} cycles | cycle wall {:.1} ms | attribution {:.1}% | worker idle {:.1}%",
@@ -176,14 +192,14 @@ fn print_profile(run: &TelemetryRun) {
 /// The self-validation stage CI runs under `--quick`: schema shape,
 /// window-sum == aggregate-total, and cross-thread determinism of the
 /// stripped export.
-fn validate(fc: &FlowControl, mesh: Mesh, load: LoadSpec, sim: &noc_network::SimConfig) {
+fn validate(seed: u64, sim: &SimConfig) {
     // One manifest shared by every export below, so the byte-compare sees
     // only registry content (threads/wall_ms would differ per run).
-    let manifest = noc_metrics::RunManifest::new("telemetry", sim.seed, "quick", "FR6");
+    let manifest = noc_metrics::RunManifest::new("telemetry", seed, "quick", "FR6");
     let mut stripped: Vec<(usize, String)> = Vec::new();
     for threads in [1usize, 2, 4] {
-        let run = fc.run_telemetry(mesh, load, sim, 0, 7, threads);
-        let reg = &run.registry;
+        let run = telemetry(0.55, seed, threads, sim, 7);
+        let reg = run.registry.as_ref().expect("telemetry fills a registry");
 
         // Window-sum == aggregate-total, exactly, for every Sum window
         // that names a counter.
@@ -220,7 +236,7 @@ fn validate(fc: &FlowControl, mesh: Mesh, load: LoadSpec, sim: &noc_network::Sim
         }
 
         // Profiler still attributes the engine loop when validating.
-        assert!(run.profile.attributed_fraction() >= 0.95);
+        assert!(run.profile.expect("profiled").attributed_fraction() >= 0.95);
 
         let mut clean = parsed;
         strip_nondeterministic(&mut clean);
@@ -246,8 +262,7 @@ fn main() {
         Scale::from_env()
     };
     let seed = seed_from_env();
-    let sim = scale.sim(seed);
-    let mesh = Mesh::new(8, 8);
+    let sim = scale.sim();
     let fc = FlowControl::FlitReservation(FrConfig::fr6());
     let window_log2 = if quick { 7 } else { 9 };
     println!(
@@ -257,10 +272,9 @@ fn main() {
     );
 
     // Dashboard: one sub-saturation point and one past the knee.
-    let mut sidecar: Option<TelemetryRun> = None;
+    let mut sidecar = None;
     for load in [0.55, 0.95] {
-        let spec = LoadSpec::fraction_of_capacity(load, 5);
-        let run = fc.run_telemetry(mesh, spec, &sim, 0, window_log2, 1);
+        let run = telemetry(load, seed, 1, &sim, window_log2);
         print_dashboard(&fc.label(), load, &run);
         sidecar = Some(run);
     }
@@ -268,26 +282,29 @@ fn main() {
     // Runtime profile across thread counts.
     println!("\n=== engine profile ===");
     for threads in [1usize, 4, 8] {
-        let spec = LoadSpec::fraction_of_capacity(0.55, 5);
-        let run = fc.run_telemetry(mesh, spec, &sim, 0, window_log2, threads);
-        print_profile(&run);
+        print_profile(&telemetry(0.55, seed, threads, &sim, window_log2));
     }
 
     if quick {
         println!("\n=== self-validation ===");
-        validate(&fc, mesh, LoadSpec::fraction_of_capacity(0.55, 5), &sim);
+        validate(seed, &sim);
     }
 
     // Sidecars: the near-saturation dashboard run, windows included.
-    if let Some(run) = sidecar {
+    if let Some(RunOutput {
+        registry: Some(registry),
+        profile: Some(profile),
+        ..
+    }) = sidecar
+    {
         let mut manifest = noc_bench::report::manifest("telemetry", scale, seed, &fc.label());
         manifest.threads = 1;
-        write_metrics_json(&manifest, &run.registry);
+        write_metrics_json(&manifest, &registry);
         let profile_path = results_dir().join("telemetry.profile.json");
-        match write_json_file(&profile_path, &run.profile.to_json()) {
+        match write_json_file(&profile_path, &profile.to_json()) {
             Ok(()) => println!("[sidecar] wrote {}", profile_path.display()),
             Err(e) => eprintln!("warning: could not write {}: {e}", profile_path.display()),
         }
-        write_chrome_trace("telemetry", &run.profile.chrome_trace());
+        write_chrome_trace("telemetry", &profile.chrome_trace());
     }
 }

@@ -18,7 +18,7 @@ pub mod harness;
 pub mod report;
 
 use noc_engine::warmup::WarmupConfig;
-use noc_network::{Curve, SimConfig};
+use noc_network::{run, Curve, Instrument, Scenario, SimConfig};
 
 /// Measurement scale selected by `FRFC_SCALE`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,10 +56,9 @@ impl Scale {
     }
 
     /// The corresponding measurement configuration.
-    pub fn sim(self, seed: u64) -> SimConfig {
+    pub fn sim(self) -> SimConfig {
         match self {
             Scale::Tiny => SimConfig {
-                seed,
                 warmup: WarmupConfig {
                     min_cycles: 1_000,
                     max_cycles: 6_000,
@@ -70,8 +69,8 @@ impl Scale {
                 drain_cap: 20_000,
                 warmup_probe_period: 32,
             },
-            Scale::Quick => SimConfig::quick(seed),
-            Scale::Paper => SimConfig::paper_scale(seed),
+            Scale::Quick => SimConfig::quick(),
+            Scale::Paper => SimConfig::paper_scale(),
         }
     }
 }
@@ -82,6 +81,55 @@ pub fn seed_from_env() -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(2000)
+}
+
+/// Packet sampling divisor of traced runs: `FRFC_PROV_SAMPLE` (default
+/// 4; 1 traces every packet).
+pub fn prov_sample() -> u64 {
+    std::env::var("FRFC_PROV_SAMPLE")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or(4)
+}
+
+/// The `--trace-out <path>` argument of a figure bin, if given; any other
+/// command line prints `bin`'s usage and exits with status 2.
+pub fn trace_out_arg(bin: &str) -> Option<String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [] => None,
+        [flag, path] if flag == "--trace-out" => Some(path.clone()),
+        _ => {
+            eprintln!("usage: {bin} [--trace-out <path>]");
+            std::process::exit(2)
+        }
+    }
+}
+
+/// Traces `scenario` (sampling per [`prov_sample`]) and writes its
+/// Chrome-trace / Perfetto file to `path`, exiting with status 2 when the
+/// file cannot be written. `label` names the run in the message.
+pub fn write_provenance_trace(scenario: &Scenario, sim: &SimConfig, label: &str, path: &str) {
+    let traced = Instrument::Traced {
+        sample_every: prov_sample(),
+    };
+    let report = run(scenario, sim, traced)
+        .expect("sequential traced runs cannot fail")
+        .provenance
+        .expect("traced runs report provenance");
+    let doc = noc_provenance::chrome_trace(&report, scenario.mesh.width());
+    match noc_metrics::write_json_file(std::path::Path::new(path), &doc) {
+        Ok(()) => println!(
+            "wrote {path}: {label} @ {:.0}% load, {} flit spans (open in ui.perfetto.dev)",
+            scenario.load.fraction() * 100.0,
+            report.records.len()
+        ),
+        Err(e) => {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Worker threads the experiment bins fan their load sweeps across:
@@ -191,9 +239,9 @@ mod tests {
 
     #[test]
     fn scale_sims_are_ordered() {
-        let tiny = Scale::Tiny.sim(1);
-        let quick = Scale::Quick.sim(1);
-        let paper = Scale::Paper.sim(1);
+        let tiny = Scale::Tiny.sim();
+        let quick = Scale::Quick.sim();
+        let paper = Scale::Paper.sim();
         assert!(tiny.sample_packets < quick.sample_packets);
         assert!(quick.sample_packets < paper.sample_packets);
         assert_eq!(paper.sample_packets, 100_000);

@@ -1,13 +1,13 @@
 //! A persistent worker pool for per-cycle parallel phases.
 //!
-//! [`sweep::run_parallel_mut`](crate::sweep::run_parallel_mut) spawns
-//! fresh scoped threads on every call, which is fine for a handful of
-//! sweep points but ruinous inside a simulation cycle: a network stepping
-//! a million cycles would pay thread creation and teardown a million
-//! times. [`WorkerPool`] keeps its workers alive across calls — threads
-//! are spawned once, park on a condvar between rounds, and each
-//! [`WorkerPool::run`] call costs two lock handoffs per worker instead of
-//! an OS thread spawn.
+//! Spawning fresh scoped threads per call (as
+//! [`sweep::run_parallel`](crate::sweep::run_parallel) does) is fine for
+//! a handful of sweep points but ruinous inside a simulation cycle: a
+//! network stepping a million cycles would pay thread creation and
+//! teardown a million times. [`WorkerPool`] keeps its workers alive
+//! across calls — threads are spawned once, park on a condvar between
+//! rounds, and each [`WorkerPool::run`] call costs two lock handoffs per
+//! worker instead of an OS thread spawn.
 //!
 //! The calling thread participates as worker 0, so a pool of `n` threads
 //! spawns only `n - 1` OS threads and a single-threaded pool runs the job

@@ -100,63 +100,6 @@ where
         .collect()
 }
 
-/// Runs `job` once per item, mutating the items in place, sharded over up
-/// to `threads` scoped worker threads.
-///
-/// Unlike [`run_parallel`] this hands each worker a contiguous chunk of
-/// the slice instead of work-stealing indices: the items are mutated where
-/// they live, nothing is collected, and the split needs no unsafe code.
-/// `job` receives `(index, &mut item)` with `index` relative to the whole
-/// slice. The call returns only after every worker finishes — it is a
-/// barrier — so callers may touch the slice again immediately. Used by
-/// `noc-network` to shard the router-step phase of a cycle.
-///
-/// A panic in any worker propagates to the caller once all workers have
-/// stopped.
-///
-/// # Examples
-///
-/// ```
-/// use noc_engine::sweep::run_parallel_mut;
-///
-/// let mut cells = vec![1u64, 2, 3, 4, 5];
-/// run_parallel_mut(&mut cells, 2, |i, cell| *cell += i as u64);
-/// assert_eq!(cells, vec![1, 3, 5, 7, 9]);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `threads` is zero or if any job panics.
-pub fn run_parallel_mut<I, F>(items: &mut [I], threads: usize, job: F)
-where
-    I: Send,
-    F: Fn(usize, &mut I) + Sync,
-{
-    assert!(threads > 0, "thread count must be positive");
-    let n = items.len();
-    if n == 0 {
-        return;
-    }
-    let workers = threads.min(n);
-    if workers == 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            job(i, item);
-        }
-        return;
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (c, items_chunk) in items.chunks_mut(chunk).enumerate() {
-            let job = &job;
-            scope.spawn(move || {
-                for (i, item) in items_chunk.iter_mut().enumerate() {
-                    job(c * chunk + i, item);
-                }
-            });
-        }
-    });
-}
-
 /// Raw pointer wrapper that asserts cross-thread sendability for the
 /// disjoint-slot write pattern used by [`run_parallel`].
 struct SendPtr<T>(*mut T);
@@ -257,41 +200,6 @@ mod tests {
             .collect();
         let parallel = run_parallel(&inputs, 7, |_, &i| (i as u64).wrapping_mul(0x9E3779B9));
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn parallel_mut_touches_every_item_once() {
-        let mut items: Vec<u64> = vec![0; 97];
-        run_parallel_mut(&mut items, 8, |i, item| *item = i as u64 + 1);
-        for (i, item) in items.iter().enumerate() {
-            assert_eq!(*item, i as u64 + 1);
-        }
-    }
-
-    #[test]
-    fn parallel_mut_single_thread_and_empty() {
-        let mut items = vec![1, 2, 3];
-        run_parallel_mut(&mut items, 1, |_, item| *item *= 2);
-        assert_eq!(items, vec![2, 4, 6]);
-        let mut none: Vec<i32> = Vec::new();
-        run_parallel_mut(&mut none, 4, |_, _| unreachable!());
-    }
-
-    #[test]
-    #[should_panic(expected = "thread count must be positive")]
-    fn parallel_mut_zero_threads_panics() {
-        run_parallel_mut(&mut [1], 0, |_, _: &mut i32| {});
-    }
-
-    #[test]
-    #[should_panic]
-    fn parallel_mut_worker_panic_propagates() {
-        let mut items: Vec<usize> = (0..16).collect();
-        run_parallel_mut(&mut items, 4, |i, _| {
-            if i == 9 {
-                panic!("job 9 exploded");
-            }
-        });
     }
 
     #[test]

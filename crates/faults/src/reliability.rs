@@ -27,7 +27,9 @@
 
 use noc_traffic::{Packet, PacketId};
 use std::cmp::Reverse;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::BuildHasherDefault;
 
 /// Why a retransmission fired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,7 +81,10 @@ struct Entry {
 /// The collective retransmit-buffer state of every source NI.
 #[derive(Clone, Debug, Default)]
 pub struct Reliability {
-    entries: HashMap<u64, Entry>,
+    /// Keyed by simulator-assigned packet id. A fixed-key hasher (the map
+    /// is never iterated) keeps rehash timing, and so heap-allocation
+    /// counts, identical from run to run.
+    entries: HashMap<u64, Entry, BuildHasherDefault<DefaultHasher>>,
     /// Min-heap of `(due_cycle, kind_rank, packet)` events.
     timers: BinaryHeap<Reverse<(u64, u8, u64)>>,
     /// Base retransmit timeout (cycles).

@@ -7,50 +7,30 @@
 //! loop, the harness captures a **crash sidecar** — one JSON document
 //! holding the ring's recent events, the complete
 //! [`Network::state_snapshot`] dump with its digest, the reproduction
-//! manifest and the [`ReplaySpec`] that rebuilds the run.
+//! manifest and the `replay` section (the [`Scenario`] plus its
+//! [`Recording`]) that rebuilds the run.
 //!
 //! Because the whole simulator is deterministic from its seed, the
-//! sidecar is *executable*: [`replay_to_cycle`] reconstructs the network
-//! with the exact recipe of the experiment harness, re-runs it to the
-//! captured cycle (on any thread count) and verifies that the live
-//! [`Network::state_digest`] matches the dump bit for bit. That replay
-//! check is also the state-serialization substrate for checkpoint /
-//! restore: a state dump that replays bit-identically is a state dump
-//! that can be trusted to restore from.
+//! sidecar is *executable*: [`replay_to_cycle`] rebuilds the network
+//! through the same [`Scenario::with_network`] dispatch as every other
+//! run, re-runs it to the captured cycle (on any thread count) and
+//! verifies that the live [`Network::state_digest`] matches the dump bit
+//! for bit. That replay check is also the state-serialization substrate
+//! for checkpoint / restore: a state dump that replays bit-identically is
+//! a state dump that can be trusted to restore from.
 
-use crate::Network;
-use flit_reservation::{FrConfig, FrRouter};
-use noc_engine::trace::RingSink;
-use noc_engine::Rng;
-use noc_faults::{DeadLink, FaultPlan};
-use noc_flow::LinkTiming;
-use noc_metrics::{json_diff, Json, JsonDiff, RunManifest};
-use noc_topology::{Mesh, NodeId, Port};
-use noc_traffic::{LoadSpec, TrafficGenerator};
-use noc_vc::{VcConfig, VcRouter};
+use crate::scenario::{int_in, num, NetworkTask, Stepping};
+use crate::{Network, Scenario};
+use noc_engine::trace::{NullSink, RingSink};
+use noc_metrics::{json_diff, Json, JsonDiff, NullRecorder, RunManifest};
 
 /// Version of the crash-sidecar document layout.
 pub const SIDECAR_SCHEMA_VERSION: u64 = 1;
 
-/// Everything needed to rebuild a blackbox run from scratch: the
-/// construction recipe parameters of the experiment harness plus the
-/// observability knobs. Serializes to/from the `replay` section of a
-/// crash sidecar, so a sidecar alone reproduces its run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReplaySpec {
-    /// Flow-control preset label: `VC8`, `VC32`, `FR6` or `FR13`.
-    pub config: String,
-    /// Mesh width in nodes.
-    pub mesh_width: u16,
-    /// Mesh height in nodes.
-    pub mesh_height: u16,
-    /// Offered load as a fraction of capacity.
-    pub load: f64,
-    /// Packet length in data flits.
-    pub packet_flits: u32,
-    /// Root RNG seed; traffic and router streams fork from it exactly as
-    /// in the experiment harness.
-    pub seed: u64,
+/// The blackbox harness's schedule and flight-recorder size. Together
+/// with the [`Scenario`] it forms a sidecar's `replay` section.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Recording {
     /// Cycles of active injection before the drain begins.
     pub inject_cycles: u64,
     /// Maximum drain cycles after injection stops.
@@ -58,327 +38,48 @@ pub struct ReplaySpec {
     /// Flight-recorder capacity exponent (the ring holds `1 << ring_log2`
     /// events).
     pub ring_log2: u32,
-    /// Progress-watchdog threshold in cycles; `None` disables it.
-    pub watchdog: Option<u64>,
-    /// Fault plan to arm, if any.
-    pub fault: Option<FaultPlan>,
 }
 
-impl ReplaySpec {
-    /// A small default spec: FR6 on a 4×4 mesh at moderate load.
-    pub fn fr6_small(seed: u64) -> Self {
-        ReplaySpec {
-            config: "FR6".into(),
-            mesh_width: 4,
-            mesh_height: 4,
-            load: 0.3,
-            packet_flits: 5,
-            seed,
+impl Default for Recording {
+    /// 500 injection cycles, a 20,000-cycle drain, a 1,024-event ring.
+    fn default() -> Self {
+        Recording {
             inject_cycles: 500,
             drain_cap: 20_000,
             ring_log2: 10,
-            watchdog: Some(500),
-            fault: None,
         }
     }
-
-    /// Renders the spec as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("config".into(), Json::str(&self.config)),
-            ("mesh_width".into(), Json::Num(self.mesh_width as f64)),
-            ("mesh_height".into(), Json::Num(self.mesh_height as f64)),
-            ("load".into(), Json::Num(self.load)),
-            ("packet_flits".into(), Json::Num(self.packet_flits as f64)),
-            ("seed".into(), Json::Num(self.seed as f64)),
-            ("inject_cycles".into(), Json::Num(self.inject_cycles as f64)),
-            ("drain_cap".into(), Json::Num(self.drain_cap as f64)),
-            ("ring_log2".into(), Json::Num(self.ring_log2 as f64)),
-            (
-                "watchdog".into(),
-                match self.watchdog {
-                    Some(w) => Json::Num(w as f64),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "fault".into(),
-                match &self.fault {
-                    Some(p) => fault_plan_to_json(p),
-                    None => Json::Null,
-                },
-            ),
-        ])
-    }
-
-    /// Parses a spec back out of [`ReplaySpec::to_json`]'s layout.
-    pub fn from_json(doc: &Json) -> Result<Self, String> {
-        let u64_field = |key: &str| -> Result<u64, String> {
-            doc.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("replay spec: missing numeric field `{key}`"))
-        };
-        let config = doc
-            .get("config")
-            .and_then(Json::as_str)
-            .ok_or("replay spec: missing `config`")?
-            .to_string();
-        let load = doc
-            .get("load")
-            .and_then(Json::as_f64)
-            .ok_or("replay spec: missing `load`")?;
-        let watchdog = match doc.get("watchdog") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or("replay spec: `watchdog` must be a number or null")?,
-            ),
-        };
-        let fault = match doc.get("fault") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(fault_plan_from_json(v)?),
-        };
-        Ok(ReplaySpec {
-            config,
-            mesh_width: u64_field("mesh_width")? as u16,
-            mesh_height: u64_field("mesh_height")? as u16,
-            load,
-            packet_flits: u64_field("packet_flits")? as u32,
-            seed: u64_field("seed")?,
-            inject_cycles: u64_field("inject_cycles")?,
-            drain_cap: u64_field("drain_cap")?,
-            ring_log2: u64_field("ring_log2")? as u32,
-            watchdog,
-            fault,
-        })
-    }
-
-    /// The mesh this spec runs on.
-    pub fn mesh(&self) -> Mesh {
-        Mesh::new(self.mesh_width, self.mesh_height)
-    }
-
-    /// Builds the network exactly as the experiment harness does: one
-    /// root RNG from `seed`, the traffic stream on the harness's fork
-    /// constant, one router stream per node forked by node id, and the
-    /// ring flight recorder as the network-level sink.
-    pub fn build(&self) -> Result<BlackboxNet, String> {
-        let mesh = self.mesh();
-        let root = Rng::from_seed(self.seed);
-        let spec = LoadSpec::fraction_of_capacity(self.load, self.packet_flits);
-        let generator = TrafficGenerator::uniform(mesh, spec, root.fork(0x7261_6666_6963)); // "raffic"
-        let ring = RingSink::new(1usize << self.ring_log2);
-        let mut net = match self.config.as_str() {
-            "VC8" | "VC32" => {
-                let cfg = if self.config == "VC8" {
-                    VcConfig::vc8()
-                } else {
-                    VcConfig::vc32()
-                };
-                BlackboxNet::Vc(Network::with_tracer(
-                    mesh,
-                    LinkTiming::fast_control(),
-                    2,
-                    generator,
-                    |node| VcRouter::new(mesh, node, cfg, root.fork(node.raw() as u64)),
-                    ring,
-                ))
-            }
-            "FR6" | "FR13" => {
-                let cfg = if self.config == "FR6" {
-                    FrConfig::fr6()
-                } else {
-                    FrConfig::fr13()
-                };
-                BlackboxNet::Fr(Network::with_tracer(
-                    mesh,
-                    cfg.timing,
-                    cfg.control_lanes,
-                    generator,
-                    |node| FrRouter::new(mesh, node, cfg, root.fork(node.raw() as u64)),
-                    ring,
-                ))
-            }
-            other => return Err(format!("unknown flow-control preset `{other}`")),
-        };
-        if let Some(plan) = &self.fault {
-            net.set_fault_plan(plan.clone());
-        }
-        net.set_watchdog(self.watchdog);
-        Ok(net)
-    }
 }
 
-/// Renders a fault plan as JSON (the sidecar's `replay.fault` section).
-pub fn fault_plan_to_json(plan: &FaultPlan) -> Json {
-    Json::obj(vec![
-        ("seed".into(), Json::Num(plan.seed as f64)),
-        (
-            "data_corrupt_rate".into(),
-            Json::Num(plan.data_corrupt_rate),
-        ),
-        (
-            "control_drop_rate".into(),
-            Json::Num(plan.control_drop_rate),
-        ),
-        ("repair_delay".into(), Json::Num(plan.repair_delay as f64)),
-        ("ack_latency".into(), Json::Num(plan.ack_latency as f64)),
-        (
-            "retransmit_timeout".into(),
-            Json::Num(plan.retransmit_timeout as f64),
-        ),
-        (
-            "max_backoff_exp".into(),
-            Json::Num(plan.max_backoff_exp as f64),
-        ),
-        (
-            "dead_links".into(),
-            Json::Arr(
-                plan.dead_links
-                    .iter()
-                    .map(|d| {
-                        Json::obj(vec![
-                            ("node".into(), Json::Num(d.node.raw() as f64)),
-                            ("port".into(), Json::str(format!("{:?}", d.port))),
-                            ("at_cycle".into(), Json::Num(d.at_cycle as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Parses a fault plan from [`fault_plan_to_json`]'s layout.
-pub fn fault_plan_from_json(doc: &Json) -> Result<FaultPlan, String> {
-    let u64_field = |key: &str| -> Result<u64, String> {
-        doc.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("fault plan: missing numeric field `{key}`"))
+/// Renders a sidecar's `replay` section: the scenario's fields followed
+/// by the recording's.
+///
+/// # Errors
+///
+/// When the scenario does not serialise (see [`Scenario::to_json`]).
+fn replay_to_json(scenario: &Scenario, recording: &Recording) -> Result<Json, String> {
+    let Json::Obj(mut pairs) = scenario.to_json()? else {
+        unreachable!("a scenario renders as an object")
     };
-    let f64_field = |key: &str| -> Result<f64, String> {
-        doc.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("fault plan: missing numeric field `{key}`"))
+    let int = |v: u64| Json::Num(v as f64);
+    pairs.extend([
+        ("inject_cycles".into(), int(recording.inject_cycles)),
+        ("drain_cap".into(), int(recording.drain_cap)),
+        ("ring_log2".into(), int(recording.ring_log2.into())),
+    ]);
+    Ok(Json::Obj(pairs))
+}
+
+/// Parses a `replay` section back into its (sequential) scenario and
+/// recording. The ring is bounded as `frfc-sim --flight-ring` bounds it,
+/// so a document cannot ask for an unbounded allocation.
+fn replay_from_json(doc: &Json) -> Result<(Scenario, Recording), String> {
+    let recording = Recording {
+        inject_cycles: num(doc, "inject_cycles")?,
+        drain_cap: num(doc, "drain_cap")?,
+        ring_log2: int_in(doc, "ring_log2", ..24)?,
     };
-    let mut dead_links = Vec::new();
-    for entry in doc
-        .get("dead_links")
-        .and_then(Json::as_array)
-        .ok_or("fault plan: missing `dead_links`")?
-    {
-        let node = entry
-            .get("node")
-            .and_then(Json::as_u64)
-            .ok_or("dead link: missing `node`")?;
-        let port = match entry.get("port").and_then(Json::as_str) {
-            Some("North") => Port::North,
-            Some("South") => Port::South,
-            Some("East") => Port::East,
-            Some("West") => Port::West,
-            Some("Local") => Port::Local,
-            other => return Err(format!("dead link: bad port {other:?}")),
-        };
-        dead_links.push(DeadLink {
-            node: NodeId::new(node as u16),
-            port,
-            at_cycle: entry
-                .get("at_cycle")
-                .and_then(Json::as_u64)
-                .ok_or("dead link: missing `at_cycle`")?,
-        });
-    }
-    Ok(FaultPlan {
-        seed: u64_field("seed")?,
-        data_corrupt_rate: f64_field("data_corrupt_rate")?,
-        control_drop_rate: f64_field("control_drop_rate")?,
-        repair_delay: u64_field("repair_delay")?,
-        ack_latency: u64_field("ack_latency")?,
-        retransmit_timeout: u64_field("retransmit_timeout")?,
-        max_backoff_exp: u64_field("max_backoff_exp")? as u32,
-        dead_links,
-    })
-}
-
-/// A ring-armed network of either shipped router family, so the blackbox
-/// harness (and `frfc-inspect`) can drive both through one value.
-pub enum BlackboxNet {
-    /// Virtual-channel baseline.
-    Vc(Network<VcRouter, RingSink>),
-    /// Flit-reservation.
-    Fr(Network<FrRouter, RingSink>),
-}
-
-macro_rules! delegate {
-    ($self:ident, $net:ident => $body:expr) => {
-        match $self {
-            BlackboxNet::Vc($net) => $body,
-            BlackboxNet::Fr($net) => $body,
-        }
-    };
-}
-
-impl BlackboxNet {
-    /// Steps one cycle: sequential for `threads <= 1`, sharded otherwise.
-    pub fn step(&mut self, threads: usize) {
-        delegate!(self, net => {
-            if threads <= 1 {
-                net.cycle();
-            } else {
-                net.cycle_sharded(threads);
-            }
-        })
-    }
-
-    /// See [`Network::stop_injection`].
-    pub fn stop_injection(&mut self) {
-        delegate!(self, net => net.stop_injection())
-    }
-
-    /// See [`Network::set_fault_plan`].
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        delegate!(self, net => net.set_fault_plan(plan))
-    }
-
-    /// See [`Network::set_watchdog`].
-    pub fn set_watchdog(&mut self, cycles: Option<u64>) {
-        delegate!(self, net => net.set_watchdog(cycles))
-    }
-
-    /// See [`Network::watchdog_tripped`].
-    pub fn watchdog_tripped(&self) -> bool {
-        delegate!(self, net => net.watchdog_tripped())
-    }
-
-    /// Current simulation time in cycles.
-    pub fn now(&self) -> u64 {
-        delegate!(self, net => net.now().raw())
-    }
-
-    /// Packets injected but not yet fully delivered.
-    pub fn in_flight(&self) -> usize {
-        delegate!(self, net => net.tracker().in_flight())
-    }
-
-    /// Flits delivered so far.
-    pub fn delivered_flits(&self) -> u64 {
-        delegate!(self, net => net.tracker().delivered_flits())
-    }
-
-    /// The flight recorder.
-    pub fn ring(&self) -> &RingSink {
-        delegate!(self, net => net.tracer())
-    }
-
-    /// See [`Network::state_snapshot`].
-    pub fn state_snapshot(&self) -> Json {
-        delegate!(self, net => net.state_snapshot())
-    }
-
-    /// See [`Network::state_digest`].
-    pub fn state_digest(&self) -> String {
-        delegate!(self, net => net.state_digest())
-    }
+    Ok((Scenario::from_json(doc)?, recording))
 }
 
 /// What ended a blackbox run.
@@ -436,149 +137,191 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Steps one cycle catching panics, so invariant violations become
-/// capturable triggers instead of aborting the harness.
-fn step_caught(net: &mut BlackboxNet, threads: usize) -> Result<(), String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.step(threads)))
-        .map_err(|p| panic_message(p.as_ref()))
+/// The blackbox harness as a task on the scenario's network: either the
+/// inject-then-drain schedule until a trigger, or a plain run to a fixed
+/// cycle followed by an unconditional capture.
+struct Harness<'a> {
+    scenario: &'a Scenario,
+    recording: &'a Recording,
+    /// The rendered `replay` section (validated before the build).
+    replay: Json,
+    /// `Some(cycle)`: run to exactly `cycle` and capture.
+    stop_at: Option<u64>,
 }
 
-/// Assembles a crash sidecar: schema version, trigger, manifest, replay
-/// spec, ring contents and the full state dump with its digest.
-pub fn capture_sidecar(
-    net: &BlackboxNet,
-    spec: &ReplaySpec,
-    threads: usize,
-    trigger: &Trigger,
-    detail: &str,
-) -> Json {
-    let mut manifest = RunManifest::new(
-        "blackbox",
-        spec.seed,
-        format!("{}x{}@{:.2}", spec.mesh_width, spec.mesh_height, spec.load),
-        &spec.config,
-    );
-    manifest.threads = threads.max(1) as u64;
-    let ring = net.ring();
-    let events: Vec<Json> = ring.events().map(|e| Json::Str(format!("{e:?}"))).collect();
-    let state = net.state_snapshot();
-    let digest = noc_metrics::state_digest(&state);
-    Json::obj(vec![
-        (
-            "schema_version".into(),
-            Json::Num(SIDECAR_SCHEMA_VERSION as f64),
-        ),
-        ("trigger".into(), Json::str(trigger.label())),
-        ("detail".into(), Json::str(detail)),
-        ("cycle".into(), Json::Num(net.now() as f64)),
-        ("in_flight".into(), Json::Num(net.in_flight() as f64)),
-        (
-            "delivered_flits".into(),
-            Json::Num(net.delivered_flits() as f64),
-        ),
-        ("manifest".into(), manifest.to_json()),
-        ("replay".into(), spec.to_json()),
-        (
-            "ring".into(),
-            Json::obj(vec![
-                ("capacity".into(), Json::Num(ring.capacity() as f64)),
-                ("dropped".into(), Json::Num(ring.dropped() as f64)),
-                ("events".into(), Json::Arr(events)),
-            ]),
-        ),
-        ("state".into(), state),
-        ("state_digest".into(), Json::Str(digest)),
-    ])
+impl Harness<'_> {
+    /// Assembles a crash sidecar: schema version, trigger, manifest,
+    /// replay section, ring contents and the full state dump with its
+    /// digest.
+    fn capture<R: Stepping>(
+        &self,
+        net: &Network<R, RingSink>,
+        trigger: Trigger,
+        detail: String,
+    ) -> BlackboxRun {
+        let s = self.scenario;
+        let mut manifest = RunManifest::new(
+            "blackbox",
+            s.seed,
+            format!(
+                "{}x{}@{:.2}",
+                s.mesh.width(),
+                s.mesh.height(),
+                s.load.fraction()
+            ),
+            s.flow.label(),
+        );
+        manifest.threads = s.threads.max(1) as u64;
+        let ring = net.tracer();
+        let events: Vec<Json> = ring.events().map(|e| Json::Str(format!("{e:?}"))).collect();
+        let state = net.state_snapshot();
+        let digest = noc_metrics::state_digest(&state);
+        let int = |v: u64| Json::Num(v as f64);
+        let sidecar = Json::obj(vec![
+            ("schema_version".into(), int(SIDECAR_SCHEMA_VERSION)),
+            ("trigger".into(), Json::str(trigger.label())),
+            ("detail".into(), Json::str(&detail)),
+            ("cycle".into(), int(net.now().raw())),
+            ("in_flight".into(), int(net.tracker().in_flight() as u64)),
+            (
+                "delivered_flits".into(),
+                int(net.tracker().delivered_flits()),
+            ),
+            ("manifest".into(), manifest.to_json()),
+            ("replay".into(), self.replay.clone()),
+            (
+                "ring".into(),
+                Json::obj(vec![
+                    ("capacity".into(), int(ring.capacity() as u64)),
+                    ("dropped".into(), int(ring.dropped())),
+                    ("events".into(), Json::Arr(events)),
+                ]),
+            ),
+            ("state".into(), state),
+            ("state_digest".into(), Json::Str(digest)),
+        ]);
+        BlackboxRun {
+            trigger,
+            detail,
+            sidecar: Some(sidecar),
+            cycles: net.now().raw(),
+            delivered_flits: net.tracker().delivered_flits(),
+        }
+    }
 }
 
-/// Runs `spec` end to end with the flight recorder and watchdog armed:
-/// `inject_cycles` of traffic, then a drain of at most `drain_cap`
-/// cycles. A watchdog trip, a panic out of the cycle loop, or an
-/// exhausted drain cap each capture a crash sidecar; a clean drain
-/// returns [`Trigger::Completed`] with no sidecar.
-pub fn run_blackbox(spec: &ReplaySpec, threads: usize) -> Result<BlackboxRun, String> {
-    let mut net = spec.build()?;
-    let capture = |net: &BlackboxNet, trigger: Trigger, detail: String| BlackboxRun {
-        sidecar: Some(capture_sidecar(net, spec, threads, &trigger, &detail)),
-        cycles: net.now(),
-        delivered_flits: net.delivered_flits(),
-        trigger,
-        detail,
-    };
-    let mut drained = false;
-    for phase in ["inject", "drain"] {
-        let budget = if phase == "inject" {
-            spec.inject_cycles
-        } else {
-            net.stop_injection();
-            spec.drain_cap
-        };
-        for _ in 0..budget {
-            if phase == "drain" && net.in_flight() == 0 {
-                drained = true;
+impl NetworkTask<RingSink, NullRecorder> for Harness<'_> {
+    type Output = BlackboxRun;
+
+    fn run<R: Stepping>(self, mut net: Network<R, RingSink>) -> BlackboxRun {
+        let threads = self.scenario.threads;
+        let inject = self.recording.inject_cycles;
+        let end = self
+            .stop_at
+            .unwrap_or(inject.saturating_add(self.recording.drain_cap));
+        for t in 0..end {
+            if t == inject {
+                net.stop_injection();
+            }
+            if self.stop_at.is_some() {
+                R::cycle_on(&mut net, threads);
+                continue;
+            }
+            if t >= inject && net.tracker().in_flight() == 0 {
                 break;
             }
-            if let Err(message) = step_caught(&mut net, threads) {
-                return Ok(capture(&net, Trigger::Panic, message));
+            // Catch panics, so invariant violations become capturable
+            // triggers instead of aborting the harness.
+            let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                R::cycle_on(&mut net, threads)
+            }));
+            if let Err(payload) = step {
+                return self.capture(&net, Trigger::Panic, panic_message(payload.as_ref()));
             }
             if net.watchdog_tripped() {
                 let detail = format!(
                     "no delivery progress for {} cycles with {} packets in flight",
-                    spec.watchdog.unwrap_or(0),
-                    net.in_flight()
+                    self.scenario.watchdog.unwrap_or(0),
+                    net.tracker().in_flight()
                 );
-                return Ok(capture(&net, Trigger::Watchdog, detail));
+                return self.capture(&net, Trigger::Watchdog, detail);
             }
         }
-    }
-    if !drained && net.in_flight() > 0 {
-        let detail = format!(
-            "drain cap of {} cycles elapsed with {} packets in flight",
-            spec.drain_cap,
-            net.in_flight()
-        );
-        return Ok(capture(&net, Trigger::DrainCap, detail));
-    }
-    Ok(BlackboxRun {
-        trigger: Trigger::Completed,
-        detail: format!("drained at cycle {}", net.now()),
-        sidecar: None,
-        cycles: net.now(),
-        delivered_flits: net.delivered_flits(),
-    })
-}
-
-/// Runs `spec` to exactly `cycle` cycles (honouring the injection-stop
-/// schedule) and captures an unconditional sidecar — the checkpoint
-/// write path, and the harness the replay-equality tests drive.
-pub fn capture_at_cycle(spec: &ReplaySpec, cycle: u64, threads: usize) -> Result<Json, String> {
-    let net = run_to_cycle(spec, cycle, threads)?;
-    Ok(capture_sidecar(
-        &net,
-        spec,
-        threads,
-        &Trigger::Completed,
-        &format!("manual capture at cycle {cycle}"),
-    ))
-}
-
-/// Rebuilds `spec`'s network and steps it to exactly `cycle` cycles,
-/// stopping injection at `spec.inject_cycles` just as the capture run
-/// did.
-fn run_to_cycle(spec: &ReplaySpec, cycle: u64, threads: usize) -> Result<BlackboxNet, String> {
-    let mut net = spec.build()?;
-    for t in 0..cycle {
-        if t == spec.inject_cycles {
+        if end >= inject {
+            // The run may have ended on the boundary cycle itself;
+            // stopping again is idempotent.
             net.stop_injection();
         }
-        net.step(threads);
+        let in_flight = net.tracker().in_flight();
+        match self.stop_at {
+            Some(cycle) => {
+                let detail = format!("manual capture at cycle {cycle}");
+                self.capture(&net, Trigger::Completed, detail)
+            }
+            None if in_flight > 0 => {
+                let detail = format!(
+                    "drain cap of {} cycles elapsed with {in_flight} packets in flight",
+                    self.recording.drain_cap
+                );
+                self.capture(&net, Trigger::DrainCap, detail)
+            }
+            None => BlackboxRun {
+                trigger: Trigger::Completed,
+                detail: format!("drained at cycle {}", net.now().raw()),
+                sidecar: None,
+                cycles: net.now().raw(),
+                delivered_flits: net.tracker().delivered_flits(),
+            },
+        }
     }
-    if cycle >= spec.inject_cycles {
-        // The capture run may have stopped injection on the boundary
-        // cycle itself; stopping again is idempotent.
-        net.stop_injection();
-    }
-    Ok(net)
+}
+
+/// Builds the scenario's network with the ring as its sink and runs the
+/// harness on it.
+fn harness(
+    scenario: &Scenario,
+    recording: &Recording,
+    stop_at: Option<u64>,
+) -> Result<BlackboxRun, String> {
+    let task = Harness {
+        scenario,
+        recording,
+        replay: replay_to_json(scenario, recording)?,
+        stop_at,
+    };
+    let ring = RingSink::new(1usize << recording.ring_log2);
+    Ok(scenario.with_network(NullSink, ring, NullRecorder, task))
+}
+
+/// Runs `scenario` end to end with the flight recorder and watchdog
+/// armed: `inject_cycles` of traffic, then a drain of at most
+/// `drain_cap` cycles. A watchdog trip, a panic out of the cycle loop, or
+/// an exhausted drain cap each capture a crash sidecar; a clean drain
+/// returns [`Trigger::Completed`] with no sidecar.
+///
+/// # Errors
+///
+/// When the scenario does not serialise into a sidecar (see
+/// [`Scenario::to_json`]); nothing is run then.
+pub fn run_blackbox(scenario: &Scenario, recording: &Recording) -> Result<BlackboxRun, String> {
+    harness(scenario, recording, None)
+}
+
+/// Runs `scenario` to exactly `cycle` cycles (honouring the
+/// injection-stop schedule) and captures an unconditional sidecar — the
+/// checkpoint write path, and the harness the replay-equality tests
+/// drive.
+///
+/// # Errors
+///
+/// As [`run_blackbox`].
+pub fn capture_at_cycle(
+    scenario: &Scenario,
+    recording: &Recording,
+    cycle: u64,
+) -> Result<Json, String> {
+    let run = harness(scenario, recording, Some(cycle))?;
+    Ok(run.sidecar.expect("a capture always writes a sidecar"))
 }
 
 /// Result of replaying a sidecar: the captured and live digests plus any
@@ -607,7 +350,9 @@ impl ReplayReport {
 /// section, runs to the captured cycle on `threads` workers, and
 /// compares the live state dump against the captured one bit for bit.
 pub fn replay_to_cycle(sidecar: &Json, threads: usize) -> Result<ReplayReport, String> {
-    let spec = ReplaySpec::from_json(sidecar.get("replay").ok_or("sidecar: missing `replay`")?)?;
+    let (mut scenario, recording) =
+        replay_from_json(sidecar.get("replay").ok_or("sidecar: missing `replay`")?)?;
+    scenario.threads = threads;
     let cycle = sidecar
         .get("cycle")
         .and_then(Json::as_u64)
@@ -618,10 +363,10 @@ pub fn replay_to_cycle(sidecar: &Json, threads: usize) -> Result<ReplayReport, S
         .ok_or("sidecar: missing `state_digest`")?
         .to_string();
     let expected_state = sidecar.get("state").ok_or("sidecar: missing `state`")?;
-    let net = run_to_cycle(&spec, cycle, threads)?;
-    let live_state = net.state_snapshot();
-    let live_digest = noc_metrics::state_digest(&live_state);
-    let diffs = json_diff(expected_state, &live_state);
+    let live = capture_at_cycle(&scenario, &recording, cycle)?;
+    let live_state = live.get("state").expect("captures carry a state dump");
+    let live_digest = noc_metrics::state_digest(live_state);
+    let diffs = json_diff(expected_state, live_state);
     Ok(ReplayReport {
         cycle,
         expected_digest,
@@ -633,11 +378,31 @@ pub fn replay_to_cycle(sidecar: &Json, threads: usize) -> Result<ReplayReport, S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FlowControl;
+    use noc_faults::{DeadLink, FaultPlan};
+    use noc_flow::LinkTiming;
+    use noc_topology::{NodeId, Port};
+    use noc_vc::VcConfig;
+
+    /// FR6 on a 4×4 mesh at 30% load with a 500-cycle watchdog.
+    fn small(seed: u64, inject_cycles: u64) -> (Scenario, Recording) {
+        let fr6 = FlowControl::FlitReservation(flit_reservation::FrConfig::fr6());
+        let load = noc_traffic::LoadSpec::fraction_of_capacity(0.3, 5);
+        let scenario = Scenario {
+            watchdog: Some(500),
+            ..Scenario::new(fr6, noc_topology::Mesh::new(4, 4), load, seed)
+        };
+        let recording = Recording {
+            inject_cycles,
+            ..Recording::default()
+        };
+        (scenario, recording)
+    }
 
     #[test]
     fn replay_spec_round_trips_through_json() {
-        let mut spec = ReplaySpec::fr6_small(77);
-        spec.fault = Some(FaultPlan {
+        let (mut scenario, recording) = small(77, 500);
+        scenario.fault = Some(FaultPlan {
             data_corrupt_rate: 1e-3,
             dead_links: vec![DeadLink {
                 node: NodeId::new(5),
@@ -646,28 +411,110 @@ mod tests {
             }],
             ..FaultPlan::quiet(9)
         });
-        let doc = spec.to_json();
-        let back = ReplaySpec::from_json(&doc).expect("parse");
-        assert_eq!(spec, back);
+        let doc = replay_to_json(&scenario, &recording).expect("serialises");
+        assert_eq!(Scenario::from_json(&doc).expect("parse"), scenario);
+        let back = replay_from_json(&doc).expect("parse");
+        assert_eq!(back, (scenario.clone(), recording));
         // And through the text renderer too.
         let text = doc.render();
         let reparsed = Json::parse(&text).expect("reparse");
-        assert_eq!(ReplaySpec::from_json(&reparsed).expect("parse"), spec);
+        assert_eq!(
+            replay_from_json(&reparsed).expect("parse"),
+            (scenario, recording)
+        );
     }
 
     #[test]
-    fn unknown_preset_is_an_error() {
-        let mut spec = ReplaySpec::fr6_small(1);
-        spec.config = "SAF24".into();
-        assert!(spec.build().is_err());
-        assert!(run_blackbox(&spec, 1).is_err());
+    fn schema_v1_replay_section_still_parses() {
+        // A `replay` section exactly as schema-v1 sidecars were written:
+        // the recording's fields sit between the seed and the watchdog.
+        let v1 = r#"{"config": "VC32", "mesh_width": 4, "mesh_height": 3,
+            "load": 0.25, "packet_flits": 5, "seed": 4660,
+            "inject_cycles": 150, "drain_cap": 9000, "ring_log2": 8,
+            "watchdog": null,
+            "fault": {"seed": 9, "data_corrupt_rate": 0.001,
+                "control_drop_rate": 0, "repair_delay": 2,
+                "ack_latency": 8, "retransmit_timeout": 400,
+                "max_backoff_exp": 4,
+                "dead_links": [{"node": 5, "port": "West", "at_cycle": 123}]}}"#;
+        let (scenario, recording) =
+            replay_from_json(&Json::parse(v1).expect("json")).expect("v1 parses");
+        assert_eq!(
+            scenario.flow,
+            FlowControl::VirtualChannel(VcConfig::vc32(), LinkTiming::fast_control())
+        );
+        assert_eq!(scenario.mesh, noc_topology::Mesh::new(4, 3));
+        assert_eq!(
+            scenario.load,
+            noc_traffic::LoadSpec::fraction_of_capacity(0.25, 5)
+        );
+        assert_eq!(
+            (scenario.seed, scenario.threads, scenario.watchdog),
+            (4660, 1, None)
+        );
+        let fault = scenario.fault.expect("fault plan");
+        assert_eq!(fault.dead_links[0].port, Port::West);
+        assert_eq!(fault.retransmit_timeout, 400);
+        assert_eq!(
+            recording,
+            Recording {
+                inject_cycles: 150,
+                drain_cap: 9000,
+                ring_log2: 8
+            }
+        );
+    }
+
+    #[test]
+    fn malformed_replay_sections_are_errors() {
+        let (mut scenario, recording) = small(1, 500);
+        scenario.fault = Some(FaultPlan::quiet(3));
+        let good = replay_to_json(&scenario, &recording).expect("serialises");
+        assert!(replay_from_json(&good).is_ok());
+        let dead_link = Json::parse(
+            r#"{"seed": 3, "data_corrupt_rate": 0, "control_drop_rate": 0,
+                "repair_delay": 2, "ack_latency": 8, "retransmit_timeout": 400,
+                "max_backoff_exp": 4,
+                "dead_links": [{"node": 16, "port": "East", "at_cycle": 0}]}"#,
+        )
+        .expect("json");
+        for (key, bad) in [
+            ("config", Json::str("SAF24")),
+            ("mesh_width", Json::Num(0.0)),
+            ("mesh_height", Json::Num(70_000.0)),
+            ("packet_flits", Json::Num(0.0)),
+            ("load", Json::Num(-0.5)),
+            ("watchdog", Json::Num(0.0)),
+            ("ring_log2", Json::Num(40.0)),
+            ("fault", dead_link),
+        ] {
+            let mut doc = good.clone();
+            if let Json::Obj(pairs) = &mut doc {
+                pairs.iter_mut().find(|(k, _)| k == key).expect("key").1 = bad;
+            }
+            assert!(replay_from_json(&doc).is_err(), "`{key}` was accepted");
+        }
+    }
+
+    #[test]
+    fn config_the_label_cannot_rebuild_is_refused() {
+        // `VC8` with a shared pool labels as `VC8`, but the label rebuilds
+        // the plain preset: writing it would replay the wrong network.
+        let (mut scenario, recording) = small(1, 100);
+        scenario.flow = FlowControl::VirtualChannel(
+            VcConfig::vc8().with_shared_pool(),
+            LinkTiming::fast_control(),
+        );
+        assert_eq!(scenario.flow.label(), "VC8");
+        assert!(scenario.to_json().is_err());
+        assert!(run_blackbox(&scenario, &recording).is_err());
+        assert!(capture_at_cycle(&scenario, &recording, 50).is_err());
     }
 
     #[test]
     fn clean_run_produces_no_sidecar() {
-        let mut spec = ReplaySpec::fr6_small(0x0B_5E);
-        spec.inject_cycles = 120;
-        let run = run_blackbox(&spec, 1).expect("run");
+        let (scenario, recording) = small(0x0B_5E, 120);
+        let run = run_blackbox(&scenario, &recording).expect("run");
         assert_eq!(run.trigger, Trigger::Completed);
         assert!(run.sidecar.is_none());
         assert!(run.delivered_flits > 0);
@@ -675,9 +522,8 @@ mod tests {
 
     #[test]
     fn capture_and_replay_agree_on_the_digest() {
-        let mut spec = ReplaySpec::fr6_small(0xD1_6E);
-        spec.inject_cycles = 150;
-        let sidecar = capture_at_cycle(&spec, 200, 1).expect("capture");
+        let (scenario, recording) = small(0xD1_6E, 150);
+        let sidecar = capture_at_cycle(&scenario, &recording, 200).expect("capture");
         let report = replay_to_cycle(&sidecar, 1).expect("replay");
         assert!(
             report.matches(),

@@ -1,60 +1,19 @@
-//! Experiment harness: build networks for either flow control, sweep
-//! offered loads, and locate saturation — the machinery behind every
-//! figure and table of the paper.
+//! Experiment harness: run a [`Scenario`] under the measurement
+//! methodology with one of the instruments, sweep offered loads — the
+//! machinery behind every figure and table of the paper.
 
-use crate::{
-    run_simulation, run_simulation_sharded, EngineProfile, FaultSummary, Network, RunResult,
-    SimConfig,
-};
-use flit_reservation::{FrConfig, FrRouter};
-use noc_engine::trace::{NullSink, SharedSink};
-use noc_engine::{sweep, Rng};
-use noc_faults::FaultPlan;
+use crate::runner::run_simulation_with;
+use crate::scenario::{NetworkTask, Stepping};
+use crate::{EngineProfile, FaultSummary, Network, RunResult, Scenario, SimConfig};
+use flit_reservation::FrConfig;
+use noc_engine::sweep;
+use noc_engine::trace::{NullSink, SharedSink, TraceSink};
 use noc_flow::LinkTiming;
-use noc_metrics::{MetricsRegistry, NullRecorder};
+use noc_metrics::{MetricsRegistry, NullRecorder, Recorder};
 use noc_provenance::{ProvenanceCollector, ProvenanceReport};
 use noc_topology::Mesh;
-use noc_traffic::{LoadSpec, TrafficGenerator};
-use noc_vc::{VcConfig, VcRouter};
-
-/// Everything one telemetry-armed run produces: the measurement record,
-/// the registry (aggregates, series *and* windowed telemetry) and the
-/// engine's runtime profile. From [`FlowControl::run_telemetry`].
-#[derive(Debug)]
-pub struct TelemetryRun {
-    /// The measurement record, identical to an uninstrumented run.
-    pub result: RunResult,
-    /// The filled metrics registry, windows included.
-    pub registry: MetricsRegistry,
-    /// The engine's wall-clock profile (nondeterministic by nature).
-    pub profile: EngineProfile,
-}
-
-/// Shared tail of [`FlowControl::run_telemetry`]: arms windows and the
-/// profiler, runs the methodology, and snapshots the profile before the
-/// registry is taken.
-fn run_with_telemetry<R: noc_flow::Router + Send>(
-    network: &mut Network<R, NullSink, MetricsRegistry>,
-    sim: &SimConfig,
-    sample_period: u64,
-    window_log2: u32,
-    threads: usize,
-) -> TelemetryRun {
-    network.set_metrics_period(sample_period);
-    network.set_telemetry_windows(window_log2);
-    network.set_profiling(true);
-    let result = if threads <= 1 {
-        run_simulation(network, sim)
-    } else {
-        run_simulation_sharded(network, sim, threads)
-    };
-    let profile = network.engine_profile();
-    TelemetryRun {
-        result,
-        registry: std::mem::take(network.metrics_mut()),
-        profile,
-    }
-}
+use noc_traffic::LoadSpec;
+use noc_vc::VcConfig;
 
 /// Which flow control to simulate, with its full configuration.
 #[derive(Clone, Debug, PartialEq)]
@@ -84,291 +43,159 @@ impl FlowControl {
         }
     }
 
-    /// The wire timing this configuration runs on.
-    pub fn timing(&self) -> LinkTiming {
-        match self {
-            FlowControl::VirtualChannel(_, t) => *t,
-            FlowControl::FlitReservation(cfg) => cfg.timing,
+    /// The preset a serialised label names — `VC8` or `VC32` (on the
+    /// fast-control timing), `FR6` or `FR13` — or `None`.
+    pub fn from_label(label: &str) -> Option<FlowControl> {
+        let vc = |cfg| Some(FlowControl::VirtualChannel(cfg, LinkTiming::fast_control()));
+        match label {
+            "VC8" => vc(VcConfig::vc8()),
+            "VC32" => vc(VcConfig::vc32()),
+            "FR6" => Some(FlowControl::FlitReservation(FrConfig::fr6())),
+            "FR13" => Some(FlowControl::FlitReservation(FrConfig::fr13())),
+            _ => None,
         }
     }
+}
 
-    /// Runs one simulation at `load` on an `mesh` network.
-    pub fn run(&self, mesh: Mesh, load: LoadSpec, sim: &SimConfig) -> RunResult {
-        let root = Rng::from_seed(sim.seed);
-        let generator = TrafficGenerator::uniform(mesh, load, root.fork(0x7261_6666_6963)); // "raffic"
-        match self {
-            FlowControl::VirtualChannel(cfg, timing) => {
-                let mut network = Network::new(mesh, *timing, 2, generator, |node| {
-                    VcRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64))
-                });
-                run_simulation(&mut network, sim)
-            }
-            FlowControl::FlitReservation(cfg) => {
-                let mut network =
-                    Network::new(mesh, cfg.timing, cfg.control_lanes, generator, |node| {
-                        FrRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64))
-                    });
-                run_simulation(&mut network, sim)
-            }
-        }
-    }
-
-    /// Runs one simulation at `load` with the given fault plan armed:
-    /// deterministic transient link faults (CRC-caught data corruption,
-    /// dropped-then-repaired control flits), permanent link failures, and
-    /// the end-to-end ACK/NACK/retransmit recovery protocol.
-    ///
-    /// Identical seeds and methodology to [`FlowControl::run`]; an
-    /// inactive plan (all rates zero, no dead links) produces a
-    /// bit-identical `RunResult`. Returns the measurement record and the
-    /// fault layer's activity summary.
-    pub fn run_faulty(
-        &self,
-        mesh: Mesh,
-        load: LoadSpec,
-        sim: &SimConfig,
-        plan: &FaultPlan,
-    ) -> (RunResult, FaultSummary) {
-        let root = Rng::from_seed(sim.seed);
-        let generator = TrafficGenerator::uniform(mesh, load, root.fork(0x7261_6666_6963)); // "raffic"
-        match self {
-            FlowControl::VirtualChannel(cfg, timing) => {
-                let mut network = Network::new(mesh, *timing, 2, generator, |node| {
-                    VcRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64))
-                });
-                network.set_fault_plan(plan.clone());
-                let result = run_simulation(&mut network, sim);
-                (result, network.fault_summary().unwrap_or_default())
-            }
-            FlowControl::FlitReservation(cfg) => {
-                let mut network =
-                    Network::new(mesh, cfg.timing, cfg.control_lanes, generator, |node| {
-                        FrRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64))
-                    });
-                network.set_fault_plan(plan.clone());
-                let result = run_simulation(&mut network, sim);
-                (result, network.fault_summary().unwrap_or_default())
-            }
-        }
-    }
-
-    /// Runs one simulation at `load` with metrics collection enabled,
-    /// returning the run result together with the filled registry.
-    ///
-    /// Identical methodology to [`FlowControl::run`] — same seeds, same
-    /// traffic, same warm-up/measure/drain — and, because metrics never
-    /// feed back into the simulation, identical `RunResult`s. The
-    /// registry's time-axis series sample every `sample_period` cycles
-    /// (0 disables series; counters and gauges are always collected).
-    pub fn run_metered(
-        &self,
-        mesh: Mesh,
-        load: LoadSpec,
-        sim: &SimConfig,
+/// What a [`run`] observes besides its [`RunResult`]. No instrument feeds
+/// back into the simulation, so every choice yields the same result.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Instrument {
+    /// Nothing: the null sink and null recorder.
+    None,
+    /// A metrics registry whose time-axis series sample every
+    /// `sample_period` cycles (0 disables series; counters and gauges
+    /// are always collected).
+    Metered {
+        /// Series sampling period in cycles.
         sample_period: u64,
-    ) -> (RunResult, MetricsRegistry) {
-        let root = Rng::from_seed(sim.seed);
-        let generator = TrafficGenerator::uniform(mesh, load, root.fork(0x7261_6666_6963)); // "raffic"
-        match self {
-            FlowControl::VirtualChannel(cfg, timing) => {
-                let mut network = Network::with_instruments(
-                    mesh,
-                    *timing,
-                    2,
-                    generator,
-                    |node| VcRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64)),
-                    NullSink,
-                    MetricsRegistry::new(),
-                );
-                network.set_metrics_period(sample_period);
-                let result = run_simulation(&mut network, sim);
-                (result, std::mem::take(network.metrics_mut()))
-            }
-            FlowControl::FlitReservation(cfg) => {
-                let mut network = Network::with_instruments(
-                    mesh,
-                    cfg.timing,
-                    cfg.control_lanes,
-                    generator,
-                    |node| FrRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64)),
-                    NullSink,
-                    MetricsRegistry::new(),
-                );
-                network.set_metrics_period(sample_period);
-                let result = run_simulation(&mut network, sim);
-                (result, std::mem::take(network.metrics_mut()))
-            }
-        }
-    }
-
-    /// [`FlowControl::run_metered`] with the per-cycle stepping sharded
-    /// over `threads` worker threads.
-    ///
-    /// The sharded engine is bit-identical to sequential stepping, so
-    /// both the `RunResult` and the exported registry (after
-    /// [`noc_metrics::strip_nondeterministic`] removes wall-clock data)
-    /// match the single-threaded run exactly — the contract
-    /// `tests/parallel_equivalence.rs` pins.
-    pub fn run_metered_sharded(
-        &self,
-        mesh: Mesh,
-        load: LoadSpec,
-        sim: &SimConfig,
+    },
+    /// [`Instrument::Metered`] plus epoch-bucketed windows of
+    /// `1 << window_log2` cycles and the engine's wall-clock profiler.
+    Telemetry {
+        /// Series sampling period in cycles.
         sample_period: u64,
-        threads: usize,
-    ) -> (RunResult, MetricsRegistry) {
-        let root = Rng::from_seed(sim.seed);
-        let generator = TrafficGenerator::uniform(mesh, load, root.fork(0x7261_6666_6963)); // "raffic"
-        match self {
-            FlowControl::VirtualChannel(cfg, timing) => {
-                let mut network = Network::with_instruments(
-                    mesh,
-                    *timing,
-                    2,
-                    generator,
-                    |node| VcRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64)),
-                    NullSink,
-                    MetricsRegistry::new(),
-                );
-                network.set_metrics_period(sample_period);
-                let result = run_simulation_sharded(&mut network, sim, threads);
-                (result, std::mem::take(network.metrics_mut()))
-            }
-            FlowControl::FlitReservation(cfg) => {
-                let mut network = Network::with_instruments(
-                    mesh,
-                    cfg.timing,
-                    cfg.control_lanes,
-                    generator,
-                    |node| FrRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64)),
-                    NullSink,
-                    MetricsRegistry::new(),
-                );
-                network.set_metrics_period(sample_period);
-                let result = run_simulation_sharded(&mut network, sim, threads);
-                (result, std::mem::take(network.metrics_mut()))
-            }
-        }
-    }
-
-    /// Runs one simulation at `load` with windowed telemetry and the
-    /// runtime profiler armed: the registry collects everything
-    /// [`FlowControl::run_metered`] collects *plus* epoch-bucketed
-    /// windows of `1 << window_log2` cycles (per-window offered/ejected
-    /// flits, latency quantiles, stall and reservation counters, buffer
-    /// occupancy), and the engine samples its own wall clock into an
-    /// [`EngineProfile`].
-    ///
-    /// `threads == 1` runs the true sequential engine; larger values
-    /// shard the stepping. Either way the `RunResult` and the
-    /// deterministic registry sections are bit-identical to
-    /// [`FlowControl::run_metered`] at the same seed — telemetry records
-    /// only in the sequential phases, and all wall-clock data stays in
-    /// the profile.
-    pub fn run_telemetry(
-        &self,
-        mesh: Mesh,
-        load: LoadSpec,
-        sim: &SimConfig,
-        sample_period: u64,
+        /// Window length exponent.
         window_log2: u32,
-        threads: usize,
-    ) -> TelemetryRun {
-        let root = Rng::from_seed(sim.seed);
-        let generator = TrafficGenerator::uniform(mesh, load, root.fork(0x7261_6666_6963)); // "raffic"
-        match self {
-            FlowControl::VirtualChannel(cfg, timing) => {
-                let mut network = Network::with_instruments(
-                    mesh,
-                    *timing,
-                    2,
-                    generator,
-                    |node| VcRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64)),
-                    NullSink,
-                    MetricsRegistry::new(),
-                );
-                run_with_telemetry(&mut network, sim, sample_period, window_log2, threads)
-            }
-            FlowControl::FlitReservation(cfg) => {
-                let mut network = Network::with_instruments(
-                    mesh,
-                    cfg.timing,
-                    cfg.control_lanes,
-                    generator,
-                    |node| FrRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64)),
-                    NullSink,
-                    MetricsRegistry::new(),
-                );
-                run_with_telemetry(&mut network, sim, sample_period, window_log2, threads)
-            }
-        }
-    }
-
-    /// Runs one simulation at `load` with latency-provenance tracing on,
-    /// returning the run result and the reconstructed provenance report.
-    ///
-    /// Identical methodology and seeds to [`FlowControl::run`]; the
-    /// provenance sink is observation-only (the routers' stall scans are
-    /// read-only and draw no randomness), so the returned `RunResult` is
-    /// bit-identical to an untraced run. Packets with
-    /// `id % sample_every == 0` are tracked (1 = every packet).
-    pub fn run_traced(
-        &self,
-        mesh: Mesh,
-        load: LoadSpec,
-        sim: &SimConfig,
+    },
+    /// Latency provenance over packets with `id % sample_every == 0`
+    /// (1 = every packet). Sequential only: the shared collector is not
+    /// `Send`.
+    Traced {
+        /// Packet sampling stride.
         sample_every: u64,
-    ) -> (RunResult, ProvenanceReport) {
-        let root = Rng::from_seed(sim.seed);
-        let generator = TrafficGenerator::uniform(mesh, load, root.fork(0x7261_6666_6963)); // "raffic"
-        let sink = SharedSink::new(ProvenanceCollector::new(sample_every));
-        match self {
-            FlowControl::VirtualChannel(cfg, timing) => {
-                let mut network = Network::with_instruments(
-                    mesh,
-                    *timing,
-                    2,
-                    generator,
-                    |node| {
-                        VcRouter::with_tracer(
-                            mesh,
-                            node,
-                            *cfg,
-                            root.fork(node.raw() as u64),
-                            sink.clone(),
-                        )
-                    },
-                    sink.clone(),
-                    NullRecorder,
-                );
-                let result = run_simulation(&mut network, sim);
-                drop(network);
-                (result, sink.into_inner().finish())
+    },
+}
+
+/// Everything one [`run`] produced: the measurement record plus whatever
+/// the scenario and instrument asked for.
+#[derive(Debug)]
+pub struct RunOutput {
+    /// The measurement record, identical across instruments.
+    pub result: RunResult,
+    /// The fault layer's activity; `Some` when the scenario carries a
+    /// plan.
+    pub faults: Option<FaultSummary>,
+    /// The filled registry (windows included under telemetry); `Some`
+    /// for [`Instrument::Metered`] and [`Instrument::Telemetry`].
+    pub registry: Option<MetricsRegistry>,
+    /// The engine's wall-clock profile (nondeterministic by nature);
+    /// `Some` for [`Instrument::Telemetry`].
+    pub profile: Option<EngineProfile>,
+    /// The reconstructed provenance; `Some` for [`Instrument::Traced`].
+    pub provenance: Option<ProvenanceReport>,
+}
+
+/// The methodology run, as a task on the scenario's network: arms the
+/// instrument, runs warm-up / measure / drain, and collects the results.
+struct Measure<'a> {
+    scenario: &'a Scenario,
+    sim: &'a SimConfig,
+    instrument: Instrument,
+}
+
+impl<S: TraceSink, M: Recorder + Default> NetworkTask<S, M> for Measure<'_> {
+    type Output = (RunResult, Option<FaultSummary>, M, Option<EngineProfile>);
+
+    fn run<R: Stepping>(self, mut net: Network<R, S, M>) -> Self::Output {
+        let profiled = match self.instrument {
+            Instrument::Metered { sample_period } => {
+                net.set_metrics_period(sample_period);
+                false
             }
-            FlowControl::FlitReservation(cfg) => {
-                let mut network = Network::with_instruments(
-                    mesh,
-                    cfg.timing,
-                    cfg.control_lanes,
-                    generator,
-                    |node| {
-                        FrRouter::with_tracer(
-                            mesh,
-                            node,
-                            *cfg,
-                            root.fork(node.raw() as u64),
-                            sink.clone(),
-                        )
-                    },
-                    sink.clone(),
-                    NullRecorder,
-                );
-                let result = run_simulation(&mut network, sim);
-                drop(network);
-                (result, sink.into_inner().finish())
+            Instrument::Telemetry {
+                sample_period,
+                window_log2,
+            } => {
+                net.set_metrics_period(sample_period);
+                net.set_telemetry_windows(window_log2);
+                net.set_profiling(true);
+                true
             }
-        }
+            Instrument::None | Instrument::Traced { .. } => false,
+        };
+        let threads = self.scenario.threads;
+        let result = run_simulation_with(&mut net, self.sim, |n| R::cycle_on(n, threads));
+        let armed = self.scenario.fault.is_some();
+        let faults = armed.then(|| net.fault_summary().unwrap_or_default());
+        let profile = profiled.then(|| net.engine_profile());
+        (result, faults, std::mem::take(net.metrics_mut()), profile)
     }
+}
+
+/// Runs `scenario` under the warm-up / measure / drain methodology `sim`
+/// with `instrument` attached.
+///
+/// Same scenario, same `RunResult`: instruments only observe, and the
+/// sharded engine (`scenario.threads > 1`) is bit-identical to the
+/// sequential one, so deterministic registry sections match too (after
+/// [`noc_metrics::strip_nondeterministic`] removes wall-clock data).
+///
+/// # Errors
+///
+/// [`Instrument::Traced`] with `threads > 1`: the provenance collector is
+/// shared through a [`SharedSink`], which cannot cross threads.
+pub fn run(
+    scenario: &Scenario,
+    sim: &SimConfig,
+    instrument: Instrument,
+) -> Result<RunOutput, String> {
+    let measure = Measure {
+        scenario,
+        sim,
+        instrument,
+    };
+    let (result, faults, registry, profile, provenance) = match instrument {
+        Instrument::None => {
+            let (result, faults, NullRecorder, _) =
+                scenario.with_network(NullSink, NullSink, NullRecorder, measure);
+            (result, faults, None, None, None)
+        }
+        Instrument::Metered { .. } | Instrument::Telemetry { .. } => {
+            let (result, faults, registry, profile) =
+                scenario.with_network(NullSink, NullSink, MetricsRegistry::new(), measure);
+            (result, faults, Some(registry), profile, None)
+        }
+        Instrument::Traced { sample_every } => {
+            if scenario.threads > 1 {
+                return Err(format!(
+                    "traced runs are sequential only, got {} threads",
+                    scenario.threads
+                ));
+            }
+            let sink = SharedSink::new(ProvenanceCollector::new(sample_every));
+            let (result, faults, NullRecorder, _) =
+                scenario.with_network(sink.clone(), sink.clone(), NullRecorder, measure);
+            (result, faults, None, None, Some(sink.into_inner().finish()))
+        }
+    };
+    Ok(RunOutput {
+        result,
+        faults,
+        registry,
+        profile,
+        provenance,
+    })
 }
 
 /// One point of a latency-throughput curve.
@@ -424,23 +251,25 @@ impl Curve {
 }
 
 /// Sweeps `loads` (fractions of capacity) for one flow control, running
-/// points across `threads` workers.
+/// points across `threads` workers. Point `i` runs on its own seed
+/// derived from `seed`.
 pub fn sweep_loads(
     flow: &FlowControl,
     mesh: Mesh,
     packet_length: u32,
     loads: &[f64],
+    seed: u64,
     sim: &SimConfig,
     threads: usize,
 ) -> Curve {
     let points = sweep::run_parallel(loads, threads, |i, &fraction| {
         let load = LoadSpec::fraction_of_capacity(fraction, packet_length);
-        let mut point_sim = *sim;
-        point_sim.seed = sim.seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
-        let result = flow.run(mesh, load, &point_sim);
+        let point_seed = seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
+        let scenario = Scenario::new(flow.clone(), mesh, load, point_seed);
+        let output = run(&scenario, sim, Instrument::None);
         LoadPoint {
             offered: fraction,
-            result,
+            result: output.expect("untraced runs cannot fail").result,
         }
     });
     Curve {
@@ -449,54 +278,13 @@ pub fn sweep_loads(
     }
 }
 
-/// Measures base latency with a single near-zero-load run.
-pub fn base_latency(flow: &FlowControl, mesh: Mesh, packet_length: u32, sim: &SimConfig) -> f64 {
-    let load = LoadSpec::fraction_of_capacity(0.05, packet_length);
-    flow.run(mesh, load, sim).mean_latency()
-}
-
-/// Finds saturation throughput by bisection between `lo` (must complete)
-/// and `hi` (should saturate), to `tol` resolution in capacity fraction.
-///
-/// A load "sustains" when the run completes and mean latency stays below
-/// `latency_limit` cycles.
-pub fn find_saturation(
-    flow: &FlowControl,
-    mesh: Mesh,
-    packet_length: u32,
-    sim: &SimConfig,
-    latency_limit: f64,
-    tol: f64,
-) -> f64 {
-    let sustains = |fraction: f64| -> bool {
-        let load = LoadSpec::fraction_of_capacity(fraction, packet_length);
-        let r = flow.run(mesh, load, sim);
-        r.completed && r.mean_latency() <= latency_limit
-    };
-    let mut lo = 0.2;
-    let mut hi = 1.0;
-    if !sustains(lo) {
-        return 0.0;
-    }
-    while hi - lo > tol {
-        let mid = 0.5 * (lo + hi);
-        if sustains(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use noc_engine::warmup::WarmupConfig;
 
-    fn tiny_sim(seed: u64) -> SimConfig {
+    fn tiny_sim() -> SimConfig {
         SimConfig {
-            seed,
             warmup: WarmupConfig {
                 min_cycles: 300,
                 max_cycles: 2_000,
@@ -519,14 +307,36 @@ mod tests {
         assert_eq!(fr6.label(), "FR6");
         let fr13 = FlowControl::FlitReservation(FrConfig::fr13());
         assert_eq!(fr13.label(), "FR13");
-        assert_eq!(fr6.timing().data_delay, 4);
+        for preset in [vc8, vc32, fr6, fr13] {
+            assert_eq!(FlowControl::from_label(&preset.label()), Some(preset));
+        }
+        assert_eq!(FlowControl::from_label("SAF24"), None);
+    }
+
+    #[test]
+    fn traced_run_refuses_threads() {
+        let fr6 = FlowControl::FlitReservation(FrConfig::fr6());
+        let load = LoadSpec::fraction_of_capacity(0.3, 5);
+        let scenario = Scenario {
+            threads: 2,
+            ..Scenario::new(fr6, Mesh::new(4, 4), load, 4)
+        };
+        let traced = run(
+            &scenario,
+            &tiny_sim(),
+            Instrument::Traced { sample_every: 1 },
+        );
+        assert!(
+            traced.is_err(),
+            "a traced run must not silently go sequential"
+        );
     }
 
     #[test]
     fn sweep_produces_monotone_low_load_points() {
         let mesh = Mesh::new(4, 4);
         let fr6 = FlowControl::FlitReservation(FrConfig::fr6());
-        let curve = sweep_loads(&fr6, mesh, 5, &[0.1, 0.3], &tiny_sim(2), 1);
+        let curve = sweep_loads(&fr6, mesh, 5, &[0.1, 0.3], 2, &tiny_sim(), 1);
         assert_eq!(curve.label, "FR6");
         assert_eq!(curve.points.len(), 2);
         assert!(curve.points[0].result.completed);
@@ -544,7 +354,7 @@ mod tests {
     fn saturation_throughput_uses_latency_limit() {
         let mesh = Mesh::new(4, 4);
         let vc8 = FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control());
-        let curve = sweep_loads(&vc8, mesh, 5, &[0.2, 0.5, 1.2], &tiny_sim(3), 1);
+        let curve = sweep_loads(&vc8, mesh, 5, &[0.2, 0.5, 1.2], 3, &tiny_sim(), 1);
         let base = curve.base_latency();
         let sat = curve.saturation_throughput(base * 3.0);
         assert!(sat >= 0.2, "low load must sustain (got {sat})");

@@ -30,7 +30,7 @@
 //!
 //! # Sharded stepping
 //!
-//! [`Network::cycle_sharded`] drives the same phases across a persistent
+//! [`Network::run_cycles_sharded`] drives the same phases across a persistent
 //! [`noc_engine::pool::WorkerPool`]: the mesh is partitioned into
 //! contiguous node-range shards (a [`ShardPlan`]), and each worker owns
 //! its shard's router slots, backlogs **and inbound links** — the link
@@ -56,7 +56,8 @@ use noc_faults::{
     DeadLink, FaultCounters, FaultPlan, Reliability, ReliabilityAction, RetransmitCause,
 };
 use noc_flow::{
-    Link, LinkEvent, LinkTiming, Router, RouterCounters, StepOutputs, TraceEmit, WireClass,
+    Ejection, Link, LinkEvent, LinkTiming, Router, RouterCounters, StepOutputs, TraceEmit,
+    WireClass,
 };
 use noc_metrics::{NullRecorder, Recorder};
 use noc_topology::{Mesh, NodeId, Port, PortMap};
@@ -371,7 +372,7 @@ fn offer_backlog<R: Router>(slot: &mut RouterSlot<R>, backlog: &mut VecDeque<Pac
 /// State for true multi-core stepping: a persistent worker pool, the
 /// shard plan pairing it with the mesh, and the retained cross-shard
 /// mailboxes. Installed by [`Network::set_shard_plan`] (or lazily by
-/// [`Network::cycle_sharded`]); absent on purely sequential networks.
+/// [`Network::run_cycles_sharded`]); absent on purely sequential networks.
 struct ParallelEngine {
     pool: WorkerPool,
     plan: ShardPlan,
@@ -812,11 +813,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         )));
     }
 
-    /// The armed telemetry window exponent, if any.
-    pub fn telemetry_log2(&self) -> Option<u32> {
-        self.instruments.win.as_ref().map(|w| w.log2)
-    }
-
     /// Turns the runtime profiler on or off: sequential-tail timers,
     /// whole-cycle wall clock, worker busy/barrier-wait accounting and
     /// shard-lock acquisition counts, read back via
@@ -883,12 +879,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         &self.sink
     }
 
-    /// Mutable access to the network-level trace sink (e.g. to drain a
-    /// [`noc_engine::trace::VecSink`] between measurement windows).
-    pub fn tracer_mut(&mut self) -> &mut S {
-        &mut self.sink
-    }
-
     /// Enables the control-wire error model: every control flit
     /// transmission is corrupted with probability `rate` and
     /// retransmitted (paper Section 5: "control flits may be protected by
@@ -949,11 +939,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         }));
     }
 
-    /// Whether a (non-trivial) fault plan is armed.
-    pub fn faults_active(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// Snapshot of the fault layer's activity; `None` without an armed
     /// plan.
     pub fn fault_summary(&self) -> Option<FaultSummary> {
@@ -988,11 +973,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
     /// [`Network::set_watchdog`].
     pub fn watchdog_tripped(&self) -> bool {
         self.watchdog_tripped
-    }
-
-    /// Consecutive no-progress cycles observed by the armed watchdog.
-    pub fn watchdog_stalled_cycles(&self) -> u64 {
-        self.watchdog_stalled
     }
 
     /// Dumps the complete deterministic simulator state — clock, link
@@ -1196,11 +1176,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
     /// Occupancy probe results.
     pub fn probe_state(&self) -> ProbeState {
         self.probe_state
-    }
-
-    /// Overrides the probed node/port.
-    pub fn set_probe(&mut self, probe: ProbeConfig) {
-        self.probe = probe;
     }
 
     /// Average number of flits queued per router — the warm-up signal.
@@ -1425,63 +1400,70 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
                 }
             }
             for e in out.ejections.drain(..) {
-                if let Some(f) = self.faults.as_mut() {
-                    if !e.flit.crc_ok {
-                        // The destination's CRC caught an in-flight
-                        // corruption: discard the flit and NACK the
-                        // packet back to its source (one outstanding
-                        // NACK per packet copy).
-                        f.counters.corrupt_discarded += 1;
-                        self.sink.corrupt_discarded(e.at, node, &e.flit);
-                        if f.reliability
-                            .schedule_nack(e.flit.packet, e.at.raw() + f.plan.ack_latency)
-                        {
-                            f.counters.nacks += 1;
-                            self.sink.nack_issued(e.at, node, e.flit.packet);
+                self.commit_ejection(node, e);
+            }
+            self.slots[n].out = out;
+        }
+    }
+
+    /// Commits one ejection at `node` in node order: under an armed fault
+    /// plan a CRC-failed flit is discarded and NACKed; otherwise the
+    /// tracker, the sink and telemetry see it, and a completed packet is
+    /// ACKed back to its source. Shared by both stepping modes.
+    fn commit_ejection(&mut self, node: NodeId, e: Ejection) {
+        if let Some(f) = self.faults.as_mut() {
+            if !e.flit.crc_ok {
+                // The destination's CRC caught an in-flight corruption:
+                // discard the flit and NACK the packet back to its source
+                // (one outstanding NACK per packet copy).
+                f.counters.corrupt_discarded += 1;
+                self.sink.corrupt_discarded(e.at, node, &e.flit);
+                if f.reliability
+                    .schedule_nack(e.flit.packet, e.at.raw() + f.plan.ack_latency)
+                {
+                    f.counters.nacks += 1;
+                    self.sink.nack_issued(e.at, node, e.flit.packet);
+                }
+                return;
+            }
+        }
+        match self.tracker.on_eject(e.flit.packet, e.flit.seq, node, e.at) {
+            Ok(done) => {
+                self.sink.flit_ejected(e.at, node, &e.flit);
+                if M::ENABLED {
+                    if let Some(win) = self.instruments.win.as_deref_mut() {
+                        win.ejected_flits += 1;
+                        if let Some(latency) = done {
+                            win.delivered_packets += 1;
+                            win.latencies.record(latency);
                         }
-                        continue;
                     }
                 }
-                match self.tracker.on_eject(e.flit.packet, e.flit.seq, node, e.at) {
-                    Ok(done) => {
-                        self.sink.flit_ejected(e.at, node, &e.flit);
-                        if M::ENABLED {
-                            if let Some(win) = self.instruments.win.as_deref_mut() {
-                                win.ejected_flits += 1;
-                                if let Some(latency) = done {
-                                    win.delivered_packets += 1;
-                                    win.latencies.record(latency);
-                                }
-                            }
-                        }
-                        if let Some(latency) = done {
-                            self.sink
-                                .packet_delivered(e.at, node, e.flit.packet, latency);
-                            if let Some(f) = self.faults.as_mut() {
-                                // Completion ACK: retires the source's
-                                // retransmit-buffer entry (and any armed
-                                // timeout) `ack_latency` cycles later.
-                                f.counters.acks += 1;
-                                self.sink.ack_issued(e.at, node, e.flit.packet);
-                                f.reliability
-                                    .schedule_ack(e.flit.packet, e.at.raw() + f.plan.ack_latency);
-                            }
-                        }
-                    }
-                    Err(err) => {
-                        // A retransmitted copy of a flit the destination
-                        // already accepted: the NI's dedup filter drops
-                        // it. Without faults no duplicate can exist, so
-                        // surface the tracker's verdict as a crash.
-                        let Some(f) = self.faults.as_mut() else {
-                            panic!("{err}");
-                        };
-                        f.counters.duplicate_discarded += 1;
-                        self.sink.duplicate_discarded(e.at, node, &e.flit);
+                if let Some(latency) = done {
+                    self.sink
+                        .packet_delivered(e.at, node, e.flit.packet, latency);
+                    if let Some(f) = self.faults.as_mut() {
+                        // Completion ACK: retires the source's
+                        // retransmit-buffer entry (and any armed timeout)
+                        // `ack_latency` cycles later.
+                        f.counters.acks += 1;
+                        self.sink.ack_issued(e.at, node, e.flit.packet);
+                        f.reliability
+                            .schedule_ack(e.flit.packet, e.at.raw() + f.plan.ack_latency);
                     }
                 }
             }
-            self.slots[n].out = out;
+            Err(err) => {
+                // A retransmitted copy of a flit the destination already
+                // accepted: the NI's dedup filter drops it. Without faults
+                // no duplicate can exist, so surface the tracker's verdict
+                // as a crash.
+                let Some(f) = self.faults.as_mut() else {
+                    panic!("{err}");
+                };
+                f.counters.duplicate_discarded += 1;
+                self.sink.duplicate_discarded(e.at, node, &e.flit);
+            }
         }
     }
 
@@ -1505,7 +1487,7 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
             // Stall provenance: each router classifies the flits that were
             // eligible this cycle but did not move. Runs identically in
             // every stepping mode (this method is shared by `cycle` and
-            // `cycle_sharded`), and idle routers emit nothing.
+            // `cycle_planned`), and idle routers emit nothing.
             for slot in &mut self.slots {
                 slot.router.emit_stall_provenance(now);
             }
@@ -2086,7 +2068,7 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
 
     /// Ensures a `threads`-shard engine is installed, keeping any
     /// existing plan with a matching shard count (so a custom plan from
-    /// [`Network::set_shard_plan`] survives `cycle_sharded` calls).
+    /// [`Network::set_shard_plan`] survives `run_cycles_sharded` calls).
     fn ensure_parallel(&mut self, threads: usize) {
         let matches = self
             .parallel
@@ -2097,34 +2079,17 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
         }
     }
 
-    /// Advances the network by one cycle with the shard-local phases —
-    /// deliver, backlog offers, step, and (when no RNG rides on sends)
-    /// the link half of apply — running concurrently on `threads`
-    /// persistent workers. See the [module docs](self) for the hand-off
-    /// protocol. Produces the same trace, delivery record, RNG
-    /// trajectory and metrics export as [`Network::cycle`] for any
-    /// thread count and shard plan.
-    pub fn cycle_sharded(&mut self, threads: usize) {
-        self.ensure_parallel(threads);
-        self.cycle_planned();
-    }
-
-    /// Runs `n` cycles sharded over `threads` workers.
+    /// Runs `n` cycles with the shard-local phases — deliver, backlog
+    /// offers, step, and (when no RNG rides on sends) the link half of
+    /// apply — running concurrently on `threads` persistent workers. An
+    /// installed plan with `threads` shards (see
+    /// [`Network::set_shard_plan`]) is kept; otherwise a contiguous one is
+    /// installed. See the [module docs](self) for the hand-off protocol.
+    /// Produces the same trace, delivery record, RNG trajectory and
+    /// metrics export as [`Network::cycle`] for any thread count and
+    /// shard plan.
     pub fn run_cycles_sharded(&mut self, n: u64, threads: usize) {
         self.ensure_parallel(threads);
-        for _ in 0..n {
-            self.cycle_planned();
-        }
-    }
-
-    /// Runs `n` cycles under the installed shard plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`Network::set_shard_plan`] (or a `cycle_sharded`
-    /// entry point) installed an engine first.
-    pub fn run_cycles_planned(&mut self, n: u64) {
-        assert!(self.parallel.is_some(), "no shard plan installed");
         for _ in 0..n {
             self.cycle_planned();
         }
@@ -2337,8 +2302,7 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
     }
 
     /// Sequential tail of the parallel apply: ejections commit to the
-    /// delivery tracker and sink in node order. Only runs on the no-RNG
-    /// path, so the fault branches of the sequential apply cannot occur.
+    /// delivery tracker and sink in node order.
     fn commit_ejections(&mut self) {
         for n in 0..self.slots.len() {
             if self.slots[n].out.ejections.is_empty() {
@@ -2347,25 +2311,7 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
             let node = NodeId::new(n as u16);
             let mut out = std::mem::take(&mut self.slots[n].out);
             for e in out.ejections.drain(..) {
-                match self.tracker.on_eject(e.flit.packet, e.flit.seq, node, e.at) {
-                    Ok(done) => {
-                        self.sink.flit_ejected(e.at, node, &e.flit);
-                        if M::ENABLED {
-                            if let Some(win) = self.instruments.win.as_deref_mut() {
-                                win.ejected_flits += 1;
-                                if let Some(latency) = done {
-                                    win.delivered_packets += 1;
-                                    win.latencies.record(latency);
-                                }
-                            }
-                        }
-                        if let Some(latency) = done {
-                            self.sink
-                                .packet_delivered(e.at, node, e.flit.packet, latency);
-                        }
-                    }
-                    Err(err) => panic!("{err}"),
-                }
+                self.commit_ejection(node, e);
             }
             self.slots[n].out = out;
         }
@@ -2382,9 +2328,8 @@ mod tests {
     use noc_traffic::LoadSpec;
     use noc_vc::{VcConfig, VcRouter};
 
-    fn tiny_sim(seed: u64) -> SimConfig {
+    fn tiny_sim() -> SimConfig {
         SimConfig {
-            seed,
             warmup: WarmupConfig {
                 min_cycles: 300,
                 max_cycles: 2_000,
@@ -2612,11 +2557,11 @@ mod tests {
         // Deliberately lopsided partition: shard sizes 3/6/1/6.
         par.set_shard_plan(crate::ShardPlan::from_cuts(16, &[3, 9, 10]));
         seq.run_cycles(1_000);
-        par.run_cycles_planned(1_000);
+        par.run_cycles_sharded(1_000, 4);
         seq.stop_injection();
         par.stop_injection();
         seq.run_cycles(3_000);
-        par.run_cycles_planned(3_000);
+        par.run_cycles_sharded(3_000, 4);
         assert_eq!(
             seq.tracker().delivered_flits(),
             par.tracker().delivered_flits()
@@ -2630,7 +2575,7 @@ mod tests {
     }
 
     #[test]
-    fn cycle_sharded_keeps_matching_custom_plan() {
+    fn run_cycles_sharded_keeps_matching_custom_plan() {
         let mesh = Mesh::new(4, 4);
         let mut net = fr_network(mesh, 0.3, 5);
         let plan = crate::ShardPlan::from_cuts(16, &[5, 11]);
@@ -2755,7 +2700,7 @@ mod tests {
     fn run_simulation_completes_at_low_load() {
         let mesh = Mesh::new(4, 4);
         let mut net = vc_network(mesh, 0.2, 21);
-        let r = crate::run_simulation(&mut net, &tiny_sim(21));
+        let r = crate::run_simulation(&mut net, &tiny_sim());
         assert!(r.completed);
         assert_eq!(r.delivered, 150);
         assert!(r.mean_latency() > 10.0 && r.mean_latency() < 100.0);
@@ -2768,7 +2713,7 @@ mod tests {
         let mesh = Mesh::new(4, 4);
         // 150% of capacity cannot be sustained by any flow control.
         let mut net = vc_network(mesh, 1.5, 21);
-        let mut sim = tiny_sim(21);
+        let mut sim = tiny_sim();
         sim.drain_cap = 500;
         sim.sample_packets = 2_000;
         let r = crate::run_simulation(&mut net, &sim);
@@ -2779,7 +2724,7 @@ mod tests {
     #[test]
     fn fr_beats_vc_latency_at_moderate_load() {
         let mesh = Mesh::new(4, 4);
-        let sim = tiny_sim(9);
+        let sim = tiny_sim();
         let mut vc = vc_network(mesh, 0.4, 9);
         let mut fr = fr_network(mesh, 0.4, 9);
         let rv = crate::run_simulation(&mut vc, &sim);

@@ -18,11 +18,11 @@ use noc_engine::warmup::{WarmupConfig, WarmupDetector};
 use noc_flow::Router;
 use noc_metrics::Recorder;
 
-/// Measurement methodology parameters.
+/// Measurement methodology parameters: how long to warm up, how many
+/// packets to measure, how long to drain. What is simulated, root seed
+/// included, is a [`crate::Scenario`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SimConfig {
-    /// Root seed for traffic and arbitration.
-    pub seed: u64,
     /// Warm-up policy (paper: minimum 10,000 cycles).
     pub warmup: WarmupConfig,
     /// Packets in the measured sample (paper: 100,000).
@@ -37,9 +37,8 @@ pub struct SimConfig {
 impl SimConfig {
     /// The paper's measurement scale. Slow — minutes per point on one
     /// core; use [`SimConfig::quick`] for exploration.
-    pub fn paper_scale(seed: u64) -> Self {
+    pub fn paper_scale() -> Self {
         SimConfig {
-            seed,
             warmup: WarmupConfig {
                 min_cycles: 10_000,
                 max_cycles: 50_000,
@@ -54,9 +53,8 @@ impl SimConfig {
 
     /// A reduced scale that preserves the paper's curve shapes while
     /// running in seconds: shorter warm-up, 3,000-packet samples.
-    pub fn quick(seed: u64) -> Self {
+    pub fn quick() -> Self {
         SimConfig {
-            seed,
             warmup: WarmupConfig {
                 min_cycles: 2_000,
                 max_cycles: 12_000,
@@ -131,25 +129,9 @@ pub fn run_simulation<R: Router, S: TraceSink, M: Recorder>(
     run_simulation_with(network, sim, |n| n.cycle())
 }
 
-/// [`run_simulation`] with the per-cycle stepping sharded over `threads`
-/// worker threads.
-///
-/// Same seeds, same methodology, same measurements: the sharded engine's
-/// hand-off protocol makes every cycle bit-identical to sequential
-/// stepping, so the returned [`RunResult`] — and any metrics registry the
-/// network fills — matches the single-threaded run exactly, whatever
-/// `threads` is.
-pub fn run_simulation_sharded<R: Router + Send, S: TraceSink, M: Recorder>(
-    network: &mut Network<R, S, M>,
-    sim: &SimConfig,
-    threads: usize,
-) -> RunResult {
-    run_simulation_with(network, sim, |n| n.cycle_sharded(threads))
-}
-
 /// Shared body of the run harness: the methodology is identical whichever
 /// way one cycle is stepped.
-fn run_simulation_with<R: Router, S: TraceSink, M: Recorder>(
+pub(crate) fn run_simulation_with<R: Router, S: TraceSink, M: Recorder>(
     network: &mut Network<R, S, M>,
     sim: &SimConfig,
     mut step: impl FnMut(&mut Network<R, S, M>),
@@ -176,8 +158,6 @@ fn run_simulation_with<R: Router, S: TraceSink, M: Recorder>(
     network.set_measuring(true);
     network.enable_probe();
     let already_delivered = network.tracker().delivered_flits();
-    let sample_start_created = network.tracker().delivered_packets(); // unused marker
-    let _ = sample_start_created;
     let mut injected_all_at = None;
     while injected_all_at.is_none() {
         step(network);

@@ -10,8 +10,10 @@ use noc_engine::stats::{Histogram, RunningStats};
 use noc_engine::Cycle;
 use noc_topology::NodeId;
 use noc_traffic::{Packet, PacketId};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::BuildHasherDefault;
 
 /// A delivery-accounting error the caller can recover from.
 ///
@@ -75,7 +77,11 @@ struct Inflight {
 /// ```
 #[derive(Clone, Debug)]
 pub struct DeliveryTracker {
-    inflight: HashMap<PacketId, Inflight>,
+    /// In-flight packets by id. The fixed-key hasher keeps rehash timing,
+    /// and so heap-allocation counts, identical from run to run (the keys
+    /// are simulator-assigned ids, never outside input); the snapshot
+    /// sorts, so iteration order never leaks.
+    inflight: HashMap<PacketId, Inflight, BuildHasherDefault<DefaultHasher>>,
     /// Ids of packets whose last flit already ejected, so late duplicate
     /// copies are distinguishable from genuinely unknown packets.
     completed: HashSet<PacketId>,
@@ -91,7 +97,7 @@ impl DeliveryTracker {
     /// Creates a tracker; `hist_max` caps the exact latency histogram.
     pub fn new(hist_max: usize) -> Self {
         DeliveryTracker {
-            inflight: HashMap::new(),
+            inflight: HashMap::default(),
             completed: HashSet::new(),
             latency: RunningStats::new(),
             latency_hist: Histogram::new(hist_max),

@@ -14,8 +14,11 @@ use frfc::network::{run_simulation, Network, SimConfig};
 use frfc::topology::Mesh;
 use frfc::traffic::{LoadSpec, TrafficGenerator};
 
+/// Root seed of every run (the paper's publication year).
+const SEED: u64 = 2000;
+
 fn run(cfg: FrConfig, mesh: Mesh, load: f64, sim: &SimConfig) -> (f64, f64) {
-    let root = Rng::from_seed(sim.seed);
+    let root = Rng::from_seed(SEED);
     let spec = LoadSpec::fraction_of_capacity(load, 5);
     let generator = TrafficGenerator::uniform(mesh, spec, root.fork(1));
     let mut network = Network::new(mesh, cfg.timing, cfg.control_lanes, generator, |node| {
@@ -33,7 +36,7 @@ fn run(cfg: FrConfig, mesh: Mesh, load: f64, sim: &SimConfig) -> (f64, f64) {
 
 fn main() {
     let mesh = Mesh::new(8, 8);
-    let sim = SimConfig::quick(2000);
+    let sim = SimConfig::quick();
     let load = 0.6;
 
     println!("FR6 at {:.0}% load, 5-flit packets\n", load * 100.0);

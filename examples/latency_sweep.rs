@@ -23,7 +23,7 @@ fn main() {
     let points: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(7);
 
     let mesh = Mesh::new(8, 8);
-    let sim = SimConfig::quick(2000);
+    let sim = SimConfig::quick();
     let loads = linspace(lo, hi, points);
 
     println!("latency vs offered load, {length}-flit packets, 8x8 mesh\n");
@@ -33,6 +33,7 @@ fn main() {
         mesh,
         length,
         &loads,
+        2000,
         &sim,
         1,
     );
@@ -41,6 +42,7 @@ fn main() {
         mesh,
         length,
         &loads,
+        2000,
         &sim,
         1,
     );

@@ -9,14 +9,14 @@
 
 use frfc::flow::LinkTiming;
 use frfc::fr::FrConfig;
-use frfc::network::{FlowControl, SimConfig};
+use frfc::network::{run, FlowControl, Instrument, Scenario, SimConfig};
 use frfc::topology::Mesh;
 use frfc::traffic::LoadSpec;
 use frfc::vc::VcConfig;
 
 fn main() {
     let mesh = Mesh::new(8, 8);
-    let sim = SimConfig::quick(2000);
+    let sim = SimConfig::quick();
     let load = LoadSpec::fraction_of_capacity(0.5, 5);
 
     println!("8x8 mesh, uniform traffic, 5-flit packets, 50% of capacity\n");
@@ -24,10 +24,14 @@ fn main() {
         FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control()),
         FlowControl::FlitReservation(FrConfig::fr6()),
     ] {
-        let r = flow.run(mesh, load, &sim);
+        let label = flow.label();
+        let scenario = Scenario::new(flow, mesh, load, 2000);
+        let r = run(&scenario, &sim, Instrument::None)
+            .expect("untraced runs cannot fail")
+            .result;
         println!(
             "{:<5}  latency {:>6.1} ± {:>4.1} cycles   accepted {:>5.1}% of capacity   ({} packets)",
-            flow.label(),
+            label,
             r.mean_latency(),
             r.latency.ci95_half_width(),
             r.accepted_fraction * 100.0,

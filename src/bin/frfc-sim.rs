@@ -12,7 +12,7 @@
 
 use frfc::engine::trace::NullSink;
 use frfc::engine::Rng;
-use frfc::flow::LinkTiming;
+use frfc::flow::{LinkTiming, Router};
 use frfc::fr::{FrConfig, FrRouter};
 use frfc::metrics::{write_json_file, MetricsRegistry, RunManifest};
 use frfc::network::{run_simulation, EngineProfile, Network, RunResult, SimConfig};
@@ -235,12 +235,12 @@ fn make_pattern(name: &str, mesh: Mesh) -> Result<Box<dyn TrafficPattern>, Strin
     })
 }
 
-fn sim_for_scale(scale: &str, seed: u64) -> Result<SimConfig, String> {
+fn sim_for_scale(scale: &str) -> Result<SimConfig, String> {
     Ok(match scale {
-        "quick" => SimConfig::quick(seed),
-        "paper" => SimConfig::paper_scale(seed),
+        "quick" => SimConfig::quick(),
+        "paper" => SimConfig::paper_scale(),
         "tiny" => {
-            let mut s = SimConfig::quick(seed);
+            let mut s = SimConfig::quick();
             s.sample_packets = 800;
             s.warmup.min_cycles = 1_000;
             s
@@ -260,7 +260,7 @@ fn sibling(path: &std::path::Path, suffix: &str) -> std::path::PathBuf {
 /// metrics export (aggregates, series and windowed telemetry) to
 /// `--telemetry-out`, plus the runtime profile and its Chrome trace next
 /// to it.
-fn simulate_telemetry<R: frfc::flow::Router + Send>(
+fn simulate_telemetry<R: Router + Send>(
     mut net: Network<R, NullSink, MetricsRegistry>,
     sim: &SimConfig,
     args: &Args,
@@ -302,7 +302,8 @@ fn simulate_telemetry<R: frfc::flow::Router + Send>(
 /// `--dump-state-out` a clean run also writes an unconditional state
 /// capture at its final cycle, which is the checkpoint write path.
 fn run_blackbox_mode(args: &Args) -> Result<(), String> {
-    use frfc::network::blackbox::{capture_at_cycle, run_blackbox, ReplaySpec, Trigger};
+    use frfc::network::blackbox::{capture_at_cycle, run_blackbox, Recording, Trigger};
+    use frfc::network::{FlowControl, Scenario};
     let config = match args.flow.as_str() {
         "vc8" => "VC8",
         "vc32" => "VC32",
@@ -323,28 +324,29 @@ fn run_blackbox_mode(args: &Args) -> Result<(), String> {
         "paper" => 10_000,
         other => return Err(format!("unknown scale {other}")),
     };
-    let spec = ReplaySpec {
-        config: config.into(),
-        mesh_width: args.mesh.0,
-        mesh_height: args.mesh.1,
-        load: args.load,
-        packet_flits: args.length,
-        seed: args.seed,
+    let scenario = Scenario {
+        watchdog: Some(args.watchdog.unwrap_or(2_000)),
+        ..Scenario::new(
+            FlowControl::from_label(config).expect("a paper preset"),
+            Mesh::new(args.mesh.0, args.mesh.1),
+            LoadSpec::fraction_of_capacity(args.load, args.length),
+            args.seed,
+        )
+    };
+    let recording = Recording {
         inject_cycles,
         drain_cap: 20 * inject_cycles,
         ring_log2: args.flight_ring.unwrap_or(10),
-        watchdog: Some(args.watchdog.unwrap_or(2_000)),
-        fault: None,
     };
-    let run = run_blackbox(&spec, 1)?;
+    let run = run_blackbox(&scenario, &recording)?;
     println!(
         "{config} blackbox on {}x{} mesh | {:.0}% load | seed {} | ring 2^{} | watchdog {}",
-        spec.mesh_width,
-        spec.mesh_height,
-        spec.load * 100.0,
-        spec.seed,
-        spec.ring_log2,
-        spec.watchdog.expect("armed above"),
+        args.mesh.0,
+        args.mesh.1,
+        args.load * 100.0,
+        args.seed,
+        recording.ring_log2,
+        scenario.watchdog.expect("armed above"),
     );
     println!(
         "outcome   : {} after {} cycles ({} flits delivered) — {}",
@@ -357,7 +359,7 @@ fn run_blackbox_mode(args: &Args) -> Result<(), String> {
         Some(doc) => Some(doc),
         None => match &args.dump_state_out {
             // Clean run: only capture when the caller asked for a dump.
-            Some(_) => Some(capture_at_cycle(&spec, run.cycles, 1)?),
+            Some(_) => Some(capture_at_cycle(&scenario, &recording, run.cycles)?),
             None => None,
         },
     };
@@ -365,7 +367,7 @@ fn run_blackbox_mode(args: &Args) -> Result<(), String> {
         let default_path = std::path::PathBuf::from(format!(
             "results/state/frfc-sim-{}-{}.json",
             config.to_lowercase(),
-            spec.seed
+            args.seed
         ));
         let path = args.dump_state_out.clone().unwrap_or(default_path);
         write_json_file(&path, &doc)
@@ -383,96 +385,78 @@ fn run_blackbox_mode(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Builds the network from `make_router` and runs it: telemetry-armed
+/// with `--telemetry-out`, plain otherwise, with `--error-rate` applied.
+fn simulate<R: Router + Send>(
+    args: &Args,
+    label: String,
+    (timing, control_lanes): (LinkTiming, u32),
+    make_router: impl FnMut(NodeId) -> R,
+) -> Result<(String, RunResult, u64), String> {
+    let mesh = Mesh::new(args.mesh.0, args.mesh.1);
+    let sim = sim_for_scale(&args.scale)?;
+    let load = LoadSpec::fraction_of_capacity(args.load, args.length);
+    let pattern = make_pattern(&args.pattern, mesh)?;
+    let traffic_rng = Rng::from_seed(args.seed).fork(1);
+    let generator = TrafficGenerator::new(mesh, load, pattern, args.injection, traffic_rng);
+    if args.telemetry_out.is_some() {
+        let net = Network::with_instruments(
+            mesh,
+            timing,
+            control_lanes,
+            generator,
+            make_router,
+            NullSink,
+            MetricsRegistry::new(),
+        );
+        let (r, retries) = simulate_telemetry(net, &sim, args, &label)?;
+        return Ok((label, r, retries));
+    }
+    let mut net = Network::new(mesh, timing, control_lanes, generator, make_router);
+    if args.error_rate > 0.0 {
+        net.set_control_error_rate(args.error_rate, args.seed ^ 0xE44);
+    }
+    let r = run_simulation(&mut net, &sim);
+    Ok((label, r, net.control_retries()))
+}
+
 fn run(args: &Args) -> Result<(String, RunResult, u64), String> {
     let mesh = Mesh::new(args.mesh.0, args.mesh.1);
-    let sim = sim_for_scale(&args.scale, args.seed)?;
-    let load = LoadSpec::fraction_of_capacity(args.load, args.length);
-    let root = Rng::from_seed(sim.seed);
-    let make_generator = || -> Result<TrafficGenerator, String> {
-        let pattern = make_pattern(&args.pattern, mesh)?;
-        Ok(TrafficGenerator::new(
-            mesh,
-            load,
-            pattern,
-            args.injection,
-            root.fork(1),
-        ))
-    };
-
-    let make_vc = |cfg: VcConfig| -> Result<(String, RunResult, u64), String> {
+    let root = Rng::from_seed(args.seed);
+    let rng = |n: NodeId| root.fork(n.raw() as u64);
+    let vc = |cfg: VcConfig| {
         let label = format!("VC{}", cfg.buffers_per_input());
-        let generator = make_generator()?;
-        let make_router = |n: NodeId| VcRouter::new(mesh, n, cfg, root.fork(n.raw() as u64));
-        if args.telemetry_out.is_some() {
-            let net = Network::with_instruments(
-                mesh,
-                args.timing,
-                2,
-                generator,
-                make_router,
-                NullSink,
-                MetricsRegistry::new(),
-            );
-            let (r, retries) = simulate_telemetry(net, &sim, args, &label)?;
-            return Ok((label, r, retries));
-        }
-        let mut net = Network::new(mesh, args.timing, 2, generator, make_router);
-        if args.error_rate > 0.0 {
-            net.set_control_error_rate(args.error_rate, args.seed ^ 0xE44);
-        }
-        let r = run_simulation(&mut net, &sim);
-        Ok((label, r, net.control_retries()))
+        simulate(args, label, (args.timing, 2), |n| {
+            VcRouter::new(mesh, n, cfg, rng(n))
+        })
     };
-
-    Ok(match args.flow.as_str() {
-        "vc8" => make_vc(VcConfig::vc8())?,
-        "vc16" => make_vc(VcConfig::vc16())?,
-        "vc32" => make_vc(VcConfig::vc32())?,
-        "vc8-shared" => make_vc(VcConfig::vc8().with_shared_pool())?,
+    match args.flow.as_str() {
+        "vc8" => vc(VcConfig::vc8()),
+        "vc16" => vc(VcConfig::vc16()),
+        "vc32" => vc(VcConfig::vc32()),
+        "vc8-shared" => vc(VcConfig::vc8().with_shared_pool()),
         flow => {
             if let Some(bufs) = flow.strip_prefix("wormhole:") {
                 let b: usize = bufs
                     .parse()
                     .map_err(|_| format!("bad buffer count {bufs}"))?;
-                make_vc(VcConfig::new(1, b, CreditMode::PerVc))?
-            } else {
-                let base = match flow {
-                    "fr6" => FrConfig::fr6(),
-                    "fr13" => FrConfig::fr13(),
-                    other => return Err(format!("unknown flow control {other}")),
-                };
-                let cfg = base
-                    .with_timing(args.timing)
-                    .with_horizon(args.horizon)
-                    .with_sync_margin(args.sync_margin);
-                let label = format!("FR{}", cfg.data_buffers);
-                let generator = make_generator()?;
-                let make_router =
-                    |n: NodeId| FrRouter::new(mesh, n, cfg, root.fork(n.raw() as u64));
-                if args.telemetry_out.is_some() {
-                    let net = Network::with_instruments(
-                        mesh,
-                        cfg.timing,
-                        cfg.control_lanes,
-                        generator,
-                        make_router,
-                        NullSink,
-                        MetricsRegistry::new(),
-                    );
-                    let (r, retries) = simulate_telemetry(net, &sim, args, &label)?;
-                    return Ok((label, r, retries));
-                }
-                let mut net =
-                    Network::new(mesh, cfg.timing, cfg.control_lanes, generator, make_router);
-                if args.error_rate > 0.0 {
-                    net.set_control_error_rate(args.error_rate, args.seed ^ 0xE44);
-                }
-                let r = run_simulation(&mut net, &sim);
-                let retries = net.control_retries();
-                (label, r, retries)
+                return vc(VcConfig::new(1, b, CreditMode::PerVc));
             }
+            let base = match flow {
+                "fr6" => FrConfig::fr6(),
+                "fr13" => FrConfig::fr13(),
+                other => return Err(format!("unknown flow control {other}")),
+            };
+            let cfg = base
+                .with_timing(args.timing)
+                .with_horizon(args.horizon)
+                .with_sync_margin(args.sync_margin);
+            let label = format!("FR{}", cfg.data_buffers);
+            simulate(args, label, (cfg.timing, cfg.control_lanes), |n| {
+                FrRouter::new(mesh, n, cfg, rng(n))
+            })
         }
-    })
+    }
 }
 
 fn main() {

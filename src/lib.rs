@@ -26,15 +26,17 @@
 //!
 //! ```no_run
 //! use frfc::fr::FrConfig;
-//! use frfc::network::{FlowControl, SimConfig};
+//! use frfc::network::{run, FlowControl, Instrument, Scenario, SimConfig};
 //! use frfc::topology::Mesh;
 //! use frfc::traffic::LoadSpec;
 //!
-//! // The paper's network: 8x8 mesh, FR6 router, 50% offered load.
-//! let mesh = Mesh::new(8, 8);
+//! // The paper's network: 8x8 mesh, FR6 router, 50% offered load, seed 1.
 //! let fr6 = FlowControl::FlitReservation(FrConfig::fr6());
-//! let result = fr6.run(mesh, LoadSpec::fraction_of_capacity(0.5, 5), &SimConfig::quick(1));
+//! let load = LoadSpec::fraction_of_capacity(0.5, 5);
+//! let scenario = Scenario::new(fr6, Mesh::new(8, 8), load, 1);
+//! let result = run(&scenario, &SimConfig::quick(), Instrument::None)?.result;
 //! println!("mean latency: {:.1} cycles", result.mean_latency());
+//! # Ok::<(), String>(())
 //! ```
 
 #![forbid(unsafe_code)]

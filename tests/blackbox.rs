@@ -28,7 +28,8 @@ use frfc::flow::{LinkTiming, Router};
 use frfc::fr::{FrConfig, FrRouter};
 use frfc::metrics::{json_diff, Json};
 use frfc::network::{
-    capture_at_cycle, replay_to_cycle, run_blackbox, Network, ReplaySpec, Trigger,
+    capture_at_cycle, replay_to_cycle, run_blackbox, FlowControl, Network, Recording, Scenario,
+    Trigger,
 };
 use frfc::topology::{Mesh, Port};
 use frfc::traffic::{LoadSpec, TrafficGenerator};
@@ -132,6 +133,16 @@ fn fr_net<S: TraceSink + Clone>(load: f64, seed: u64, sink: S) -> Network<FrRout
 }
 
 /// Sequential inject-then-drain schedule from the golden suite.
+/// FR6 on the 4×4 mesh at 30% load with a 500-cycle watchdog.
+fn fr6_small(seed: u64) -> Scenario {
+    let fr6 = FlowControl::FlitReservation(FrConfig::fr6());
+    let load = LoadSpec::fraction_of_capacity(0.3, PACKET_FLITS);
+    Scenario {
+        watchdog: Some(500),
+        ..Scenario::new(fr6, Mesh::new(MESH.0, MESH.1), load, seed)
+    }
+}
+
 fn run_to_drain<R: Router, S: TraceSink>(net: &mut Network<R, S>) {
     net.run_cycles(500);
     net.stop_injection();
@@ -227,11 +238,14 @@ fn ring_recorder_is_zero_perturbation() {
 /// sharded run equals the sequential capture.
 #[test]
 fn replay_digest_matches_across_thread_counts() {
+    let recording = Recording {
+        inject_cycles: 150,
+        ..Recording::default()
+    };
     for config in ["FR6", "VC8"] {
-        let mut spec = ReplaySpec::fr6_small(0xB1_AC);
-        spec.config = config.into();
-        spec.inject_cycles = 150;
-        let sidecar = capture_at_cycle(&spec, 220, 1).expect("capture");
+        let mut scenario = fr6_small(0xB1_AC);
+        scenario.flow = FlowControl::from_label(config).expect("preset");
+        let sidecar = capture_at_cycle(&scenario, &recording, 220).expect("capture");
         for threads in [1usize, 4, 8] {
             let report = replay_to_cycle(&sidecar, threads).expect("replay");
             assert!(
@@ -243,7 +257,8 @@ fn replay_digest_matches_across_thread_counts() {
                 report.diffs.first()
             );
         }
-        let sharded = capture_at_cycle(&spec, 220, 4).expect("sharded capture");
+        scenario.threads = 4;
+        let sharded = capture_at_cycle(&scenario, &recording, 220).expect("sharded capture");
         assert_eq!(
             sidecar.get("state_digest").and_then(Json::as_str),
             sharded.get("state_digest").and_then(Json::as_str),
@@ -256,10 +271,13 @@ fn replay_digest_matches_across_thread_counts() {
 /// capture lands after the dead link fires, mid-retransmission.
 #[test]
 fn replay_digest_matches_under_an_active_fault_plan() {
-    let mut spec = ReplaySpec::fr6_small(0xFA_CE);
-    spec.inject_cycles = 350;
-    spec.fault = Some(fault_plan(0xFA_02, Mesh::new(MESH.0, MESH.1)));
-    let sidecar = capture_at_cycle(&spec, 450, 1).expect("capture");
+    let mut scenario = fr6_small(0xFA_CE);
+    scenario.fault = Some(fault_plan(0xFA_02, Mesh::new(MESH.0, MESH.1)));
+    let recording = Recording {
+        inject_cycles: 350,
+        ..Recording::default()
+    };
+    let sidecar = capture_at_cycle(&scenario, &recording, 450).expect("capture");
     for threads in [1usize, 4, 8] {
         let report = replay_to_cycle(&sidecar, threads).expect("replay");
         assert!(
@@ -277,11 +295,11 @@ fn replay_digest_matches_under_an_active_fault_plan() {
 /// eastbound link out of column 0 strands eastbound traffic injected
 /// there, so after the deliverable packets drain the network makes no
 /// progress with packets still in flight.
-fn livelock_spec() -> ReplaySpec {
+fn livelock_scenario() -> Scenario {
     let mesh = Mesh::new(MESH.0, MESH.1);
-    let mut spec = ReplaySpec::fr6_small(0xDEAD_0001);
-    spec.watchdog = Some(500);
-    spec.fault = Some(FaultPlan {
+    let mut scenario = fr6_small(0xDEAD_0001);
+    scenario.watchdog = Some(500);
+    scenario.fault = Some(FaultPlan {
         dead_links: (0..MESH.1)
             .map(|y| DeadLink {
                 node: mesh.node_at(0, y),
@@ -291,14 +309,14 @@ fn livelock_spec() -> ReplaySpec {
             .collect(),
         ..FaultPlan::quiet(0xFA_11)
     });
-    spec
+    scenario
 }
 
 /// The watchdog catches the constructed livelock, and the crash sidecar
 /// survives a text round trip and replays bit for bit.
 #[test]
 fn watchdog_catches_a_dead_link_livelock() {
-    let run = run_blackbox(&livelock_spec(), 1).expect("run");
+    let run = run_blackbox(&livelock_scenario(), &Recording::default()).expect("run");
     assert_eq!(
         run.trigger,
         Trigger::Watchdog,
@@ -345,9 +363,9 @@ fn watchdog_catches_a_dead_link_livelock() {
 /// the `busy` strings `frfc-inspect show` renders must have substance.
 #[test]
 fn state_dump_carries_reservation_timelines() {
-    let mut spec = ReplaySpec::fr6_small(0x71_3E);
-    spec.load = 0.6;
-    let sidecar = capture_at_cycle(&spec, 120, 1).expect("capture");
+    let mut scenario = fr6_small(0x71_3E);
+    scenario.load = LoadSpec::fraction_of_capacity(0.6, PACKET_FLITS);
+    let sidecar = capture_at_cycle(&scenario, &Recording::default(), 120).expect("capture");
     let routers = sidecar
         .get("state")
         .and_then(|s| s.get("routers"))

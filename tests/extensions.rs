@@ -10,9 +10,8 @@ use frfc::network::{run_simulation, Network, SimConfig};
 use frfc::topology::Mesh;
 use frfc::traffic::{InjectionKind, LengthDistribution, LoadSpec, TrafficGenerator, Uniform};
 
-fn sim(seed: u64) -> SimConfig {
+fn sim() -> SimConfig {
     SimConfig {
-        seed,
         warmup: WarmupConfig {
             min_cycles: 500,
             max_cycles: 4_000,
@@ -51,13 +50,13 @@ fn control_errors_preserve_conservation() {
     let mesh = Mesh::new(6, 6);
     let load = LoadSpec::fraction_of_capacity(0.4, 5);
     let mut clean = fr_network(mesh, FrConfig::fr6(), load, InjectionKind::ConstantRate, 31);
-    let r_clean = run_simulation(&mut clean, &sim(31));
+    let r_clean = run_simulation(&mut clean, &sim());
     assert!(r_clean.completed);
     assert_eq!(clean.control_retries(), 0);
 
     let mut faulty = fr_network(mesh, FrConfig::fr6(), load, InjectionKind::ConstantRate, 31);
     faulty.set_control_error_rate(0.05, 99);
-    let r_faulty = run_simulation(&mut faulty, &sim(31));
+    let r_faulty = run_simulation(&mut faulty, &sim());
     assert!(r_faulty.completed, "5% control error rate must still drain");
     assert!(
         faulty.control_retries() > 100,
@@ -85,7 +84,7 @@ fn control_errors_with_leading_control() {
     let load = LoadSpec::fraction_of_capacity(0.4, 5);
     let mut net = fr_network(mesh, cfg, load, InjectionKind::ConstantRate, 32);
     net.set_control_error_rate(0.08, 7);
-    let r = run_simulation(&mut net, &sim(32));
+    let r = run_simulation(&mut net, &sim());
     assert!(r.completed, "leading control with errors must still drain");
     let parked: u64 = net.routers().map(|r| r.stats().parked_arrivals).sum();
     assert!(
@@ -103,12 +102,12 @@ fn sync_margin_costs_throughput_not_correctness() {
     let load = LoadSpec::fraction_of_capacity(0.6, 5);
     let meso = {
         let mut net = fr_network(mesh, FrConfig::fr6(), load, InjectionKind::ConstantRate, 33);
-        run_simulation(&mut net, &sim(33))
+        run_simulation(&mut net, &sim())
     };
     let plesio = {
         let cfg = FrConfig::fr6().with_sync_margin(1);
         let mut net = fr_network(mesh, cfg, load, InjectionKind::ConstantRate, 33);
-        run_simulation(&mut net, &sim(33))
+        run_simulation(&mut net, &sim())
     };
     assert!(meso.completed && plesio.completed);
     assert!(
@@ -127,7 +126,7 @@ fn bursty_injection_conserves_and_costs_latency() {
     let load = LoadSpec::fraction_of_capacity(0.4, 5);
     let smooth = {
         let mut net = fr_network(mesh, FrConfig::fr6(), load, InjectionKind::ConstantRate, 34);
-        run_simulation(&mut net, &sim(34))
+        run_simulation(&mut net, &sim())
     };
     let bursty = {
         let kind = InjectionKind::OnOff {
@@ -135,7 +134,7 @@ fn bursty_injection_conserves_and_costs_latency() {
             mean_on: 16.0,
         };
         let mut net = fr_network(mesh, FrConfig::fr6(), load, kind, 34);
-        run_simulation(&mut net, &sim(34))
+        run_simulation(&mut net, &sim())
     };
     assert!(smooth.completed && bursty.completed);
     assert!(
@@ -166,7 +165,7 @@ fn bimodal_length_mix_conserves() {
         InjectionKind::ConstantRate,
         35,
     );
-    let r = run_simulation(&mut net, &sim(35));
+    let r = run_simulation(&mut net, &sim());
     assert!(r.completed, "mixed lengths must drain");
     assert!(r.mean_latency() > 10.0);
     // Latency spread reflects the mix: some packets are single-flit.
@@ -193,6 +192,6 @@ fn robustness_stack_composes() {
     };
     let mut net = fr_network(mesh, cfg, load, kind, 36);
     net.set_control_error_rate(0.03, 11);
-    let r = run_simulation(&mut net, &sim(36));
+    let r = run_simulation(&mut net, &sim());
     assert!(r.completed, "the combined configuration must drain");
 }

@@ -168,13 +168,13 @@ fn fault_rates_actually_change_the_stream() {
 fn fault_metrics_exports_are_byte_identical_across_reruns() {
     let mesh = Mesh::new(4, 4);
     let plan = fast_plan(41, mesh);
+    let seed = 24;
     let sim = SimConfig {
-        seed: 24,
         sample_packets: 300,
-        ..SimConfig::quick(24)
+        ..SimConfig::quick()
     };
     let export = || {
-        let root = Rng::from_seed(sim.seed);
+        let root = Rng::from_seed(seed);
         let cfg = FrConfig::fr6();
         let spec = LoadSpec::fraction_of_capacity(0.4, 5);
         let generator = TrafficGenerator::uniform(mesh, spec, root.fork(0x7261_6666_6963));
@@ -190,7 +190,7 @@ fn fault_metrics_exports_are_byte_identical_across_reruns() {
         net.set_fault_plan(plan.clone());
         run_simulation(&mut net, &sim);
         let registry = std::mem::take(net.metrics_mut());
-        let mut manifest = RunManifest::new("fault_determinism", sim.seed, "test", "FR6");
+        let mut manifest = RunManifest::new("fault_determinism", seed, "test", "FR6");
         manifest.config = plan.summary();
         let mut doc = registry.to_json(&manifest);
         strip_nondeterministic(&mut doc);
@@ -217,13 +217,13 @@ fn fault_metrics_exports_are_byte_identical_across_reruns() {
 #[test]
 fn inactive_plan_exports_no_fault_keys() {
     let mesh = Mesh::new(4, 4);
+    let seed = 25;
     let sim = SimConfig {
-        seed: 25,
         sample_packets: 300,
-        ..SimConfig::quick(25)
+        ..SimConfig::quick()
     };
     let export = |plan: Option<FaultPlan>| {
-        let root = Rng::from_seed(sim.seed);
+        let root = Rng::from_seed(seed);
         let spec = LoadSpec::fraction_of_capacity(0.4, 5);
         let generator = TrafficGenerator::uniform(mesh, spec, root.fork(0x7261_6666_6963));
         let mut net = Network::with_instruments(
@@ -240,7 +240,7 @@ fn inactive_plan_exports_no_fault_keys() {
         }
         run_simulation(&mut net, &sim);
         let registry = std::mem::take(net.metrics_mut());
-        let manifest = RunManifest::new("fault_determinism", sim.seed, "test", "VC8");
+        let manifest = RunManifest::new("fault_determinism", seed, "test", "VC8");
         let mut doc = registry.to_json(&manifest);
         strip_nondeterministic(&mut doc);
         doc

@@ -23,7 +23,7 @@ use frfc::engine::warmup::WarmupConfig;
 use frfc::engine::Rng;
 use frfc::flow::LinkTiming;
 use frfc::fr::{FrConfig, FrRouter};
-use frfc::network::{FlowControl, Network, SimConfig};
+use frfc::network::{run, FlowControl, Instrument, Network, Scenario, SimConfig};
 use frfc::topology::Mesh;
 use frfc::traffic::{LoadSpec, TrafficGenerator};
 use frfc::vc::{VcConfig, VcRouter};
@@ -206,7 +206,6 @@ fn large_mesh_sharded_trace_matches_sequential() {
 fn large_mesh_provenance_sums_are_exact() {
     let s = scale();
     let sim = SimConfig {
-        seed: 0xB16_F1A7,
         warmup: WarmupConfig {
             min_cycles: 200,
             max_cycles: 1_500,
@@ -224,7 +223,11 @@ fn large_mesh_provenance_sums_are_exact() {
     ] {
         let label = fc.label();
         // Sample sparsely: the claim is exactness per record, not volume.
-        let (_, report) = fc.run_traced(s.mesh, spec, &sim, 61);
+        let scenario = Scenario::new(fc, s.mesh, spec, 0xB16_F1A7);
+        let report = run(&scenario, &sim, Instrument::Traced { sample_every: 61 })
+            .expect("sequential")
+            .provenance
+            .expect("traced");
         assert_eq!(report.malformed, 0, "{label}: malformed folds");
         assert!(!report.records.is_empty(), "{label}: nothing sampled");
         for r in &report.records {

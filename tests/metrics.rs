@@ -13,17 +13,32 @@
 use flit_reservation::FrConfig;
 use noc_flow::LinkTiming;
 use noc_metrics::{strip_nondeterministic, Json, RunManifest};
-use noc_network::{FlowControl, SimConfig};
+use noc_network::{run, FlowControl, Instrument, RunOutput, Scenario, SimConfig};
 use noc_topology::Mesh;
 use noc_traffic::LoadSpec;
 use noc_vc::VcConfig;
 
-fn tiny_sim(seed: u64) -> SimConfig {
-    let mut sim = SimConfig::quick(seed);
+/// Runs `fc` at `load` on a 4×4 mesh, reduced scale, with `instrument`.
+fn run_on(fc: &FlowControl, load: LoadSpec, seed: u64, instrument: Instrument) -> RunOutput {
+    let mut sim = SimConfig::quick();
     sim.sample_packets = 300;
     sim.warmup.min_cycles = 500;
     sim.warmup.max_cycles = 4_000;
-    sim
+    let scenario = Scenario::new(fc.clone(), Mesh::new(4, 4), load, seed);
+    run(&scenario, &sim, instrument).expect("sequential runs cannot fail")
+}
+
+/// A registry whose series sample every 32 cycles.
+const METERED: Instrument = Instrument::Metered { sample_period: 32 };
+
+/// [`run_on`] metered: the result and the registry.
+fn metered(
+    fc: &FlowControl,
+    load: LoadSpec,
+    seed: u64,
+) -> (noc_network::RunResult, noc_metrics::MetricsRegistry) {
+    let out = run_on(fc, load, seed, METERED);
+    (out.result, out.registry.expect("metered"))
 }
 
 fn configs() -> [FlowControl; 2] {
@@ -35,12 +50,10 @@ fn configs() -> [FlowControl; 2] {
 
 #[test]
 fn metered_run_does_not_perturb_the_simulation() {
-    let mesh = Mesh::new(4, 4);
-    let sim = tiny_sim(11);
     let load = LoadSpec::fraction_of_capacity(0.4, 5);
     for fc in configs() {
-        let plain = fc.run(mesh, load, &sim);
-        let (metered, _) = fc.run_metered(mesh, load, &sim, 32);
+        let plain = run_on(&fc, load, 11, Instrument::None).result;
+        let (metered, _) = metered(&fc, load, 11);
         let label = fc.label();
         assert_eq!(plain.delivered, metered.delivered, "{label}");
         assert_eq!(plain.end_cycle, metered.end_cycle, "{label}");
@@ -63,13 +76,11 @@ fn metered_run_does_not_perturb_the_simulation() {
 
 #[test]
 fn same_seed_metered_runs_export_identical_stripped_json() {
-    let mesh = Mesh::new(4, 4);
-    let sim = tiny_sim(17);
     let load = LoadSpec::fraction_of_capacity(0.4, 5);
     for fc in configs() {
         let label = fc.label();
-        let (_, reg1) = fc.run_metered(mesh, load, &sim, 32);
-        let (_, reg2) = fc.run_metered(mesh, load, &sim, 32);
+        let (_, reg1) = metered(&fc, load, 17);
+        let (_, reg2) = metered(&fc, load, 17);
         // Same manifest fields on both sides; wall_ms differs on purpose
         // to prove stripping removes it.
         let mut m1 = RunManifest::new("test", 17, "tiny", label.clone());
@@ -87,11 +98,9 @@ fn same_seed_metered_runs_export_identical_stripped_json() {
 
 #[test]
 fn fr_run_records_reservation_signature() {
-    let mesh = Mesh::new(4, 4);
-    let sim = tiny_sim(23);
     let load = LoadSpec::fraction_of_capacity(0.5, 5);
     let fc = FlowControl::FlitReservation(FrConfig::fr6());
-    let (result, reg) = fc.run_metered(mesh, load, &sim, 32);
+    let (result, reg) = metered(&fc, load, 23);
     assert!(result.completed, "moderate load must complete");
     assert!(
         reg.counter("total.reservation_hits") > 0,
@@ -123,11 +132,9 @@ fn fr_run_records_reservation_signature() {
 
 #[test]
 fn vc_run_records_stall_and_utilization_metrics() {
-    let mesh = Mesh::new(4, 4);
-    let sim = tiny_sim(29);
     let load = LoadSpec::fraction_of_capacity(0.6, 5);
     let fc = FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control());
-    let (result, reg) = fc.run_metered(mesh, load, &sim, 32);
+    let (result, reg) = metered(&fc, load, 29);
     assert!(result.delivered > 0);
     assert!(reg.counter("total.data_flits_sent") > 0);
     let util = reg

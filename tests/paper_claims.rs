@@ -6,14 +6,13 @@
 use frfc::engine::warmup::WarmupConfig;
 use frfc::flow::LinkTiming;
 use frfc::fr::FrConfig;
-use frfc::network::{FlowControl, SimConfig};
+use frfc::network::{run, FlowControl, Instrument, RunResult, Scenario, SimConfig};
 use frfc::topology::Mesh;
 use frfc::traffic::LoadSpec;
 use frfc::vc::VcConfig;
 
-fn sim(seed: u64) -> SimConfig {
+fn sim() -> SimConfig {
     SimConfig {
-        seed,
         warmup: WarmupConfig {
             min_cycles: 800,
             max_cycles: 5_000,
@@ -26,18 +25,23 @@ fn sim(seed: u64) -> SimConfig {
     }
 }
 
-fn latency(flow: &FlowControl, load: f64, length: u32) -> f64 {
-    let mesh = Mesh::new(8, 8);
+/// One 8×8 point at `load` with `length`-flit packets, seed 2000.
+fn point(flow: &FlowControl, load: f64, length: u32) -> RunResult {
     let spec = LoadSpec::fraction_of_capacity(load, length);
-    let r = flow.run(mesh, spec, &sim(2000));
+    let scenario = Scenario::new(flow.clone(), Mesh::new(8, 8), spec, 2000);
+    run(&scenario, &sim(), Instrument::None)
+        .expect("untraced runs cannot fail")
+        .result
+}
+
+fn latency(flow: &FlowControl, load: f64, length: u32) -> f64 {
+    let r = point(flow, load, length);
     assert!(r.completed, "{} must sustain {load}", flow.label());
     r.mean_latency()
 }
 
 fn sustains(flow: &FlowControl, load: f64, length: u32, limit: f64) -> bool {
-    let mesh = Mesh::new(8, 8);
-    let spec = LoadSpec::fraction_of_capacity(load, length);
-    let r = flow.run(mesh, spec, &sim(2000));
+    let r = point(flow, load, length);
     r.completed && r.mean_latency() <= limit
 }
 

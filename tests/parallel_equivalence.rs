@@ -23,7 +23,7 @@ use frfc::engine::Rng;
 use frfc::flow::{LinkTiming, Router};
 use frfc::fr::{FrConfig, FrRouter};
 use frfc::metrics::{strip_nondeterministic, RunManifest};
-use frfc::network::{FlowControl, Network, ShardPlan, SimConfig};
+use frfc::network::{run, FlowControl, Instrument, Network, Scenario, ShardPlan, SimConfig};
 use frfc::topology::Mesh;
 use frfc::traffic::{LoadSpec, TrafficGenerator};
 use frfc::vc::{VcConfig, VcRouter};
@@ -140,9 +140,8 @@ fn vc_trace_is_identical_across_all_thread_counts_and_loads() {
 
 /// A sim small enough to run the full metered matrix in the debug
 /// profile while still exercising warm-up, measurement and drain.
-fn tiny_sim(seed: u64) -> SimConfig {
+fn tiny_sim() -> SimConfig {
     SimConfig {
-        seed,
         warmup: WarmupConfig {
             min_cycles: 400,
             max_cycles: 3_000,
@@ -162,12 +161,27 @@ fn families() -> [FlowControl; 2] {
     ]
 }
 
+/// One metered run on `threads` workers: the result and the registry.
+fn metered(
+    fc: &FlowControl,
+    load: f64,
+    seed: u64,
+    threads: usize,
+) -> (frfc::network::RunResult, frfc::metrics::MetricsRegistry) {
+    let spec = LoadSpec::fraction_of_capacity(load, PACKET_FLITS);
+    let scenario = Scenario {
+        threads,
+        ..Scenario::new(fc.clone(), Mesh::new(MESH.0, MESH.1), spec, seed)
+    };
+    let metered = Instrument::Metered { sample_period: 32 };
+    let out = run(&scenario, &tiny_sim(), metered).expect("untraced runs cannot fail");
+    (out.result, out.registry.expect("metered"))
+}
+
 /// Stripped JSON export of one metered sharded run, plus the facts of
 /// its `RunResult` that must be thread-count invariant.
 fn metered_export(fc: &FlowControl, load: f64, seed: u64, threads: usize) -> (String, Vec<u64>) {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let spec = LoadSpec::fraction_of_capacity(load, PACKET_FLITS);
-    let (result, reg) = fc.run_metered_sharded(mesh, spec, &tiny_sim(seed), 32, threads);
+    let (result, reg) = metered(fc, load, seed, threads);
     let manifest = RunManifest::new("parallel-equivalence", seed, "tiny", fc.label());
     let mut doc = reg.to_json(&manifest);
     strip_nondeterministic(&mut doc);
@@ -188,8 +202,7 @@ fn metrics_export_is_identical_across_all_thread_counts_and_loads() {
         let label = fc.label();
         for (i, &load) in LOADS.iter().enumerate() {
             let seed = 0xE100 + i as u64;
-            // threads == 1 runs the planned engine inline — itself
-            // compared against the plain sequential harness below.
+            // threads == 1 runs the sequential engine.
             let (base_json, base_facts) = metered_export(&fc, load, seed, 1);
             for &threads in &thread_matrix()[1..] {
                 let (json, facts) = metered_export(&fc, load, seed, threads);
@@ -206,16 +219,14 @@ fn metrics_export_is_identical_across_all_thread_counts_and_loads() {
     }
 }
 
-/// Anchors the matrix above to the plain sequential harness: the metered
-/// sharded run at one thread must equal `run_metered` exactly.
+/// Anchors the matrix above to the plain sequential harness: a metered
+/// run on four threads must equal the sequential one exactly.
 #[test]
 fn metered_sharded_run_matches_the_sequential_harness() {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let spec = LoadSpec::fraction_of_capacity(0.55, PACKET_FLITS);
     for fc in families() {
         let label = fc.label();
-        let (seq_result, seq_reg) = fc.run_metered(mesh, spec, &tiny_sim(0xA11), 32);
-        let (shr_result, shr_reg) = fc.run_metered_sharded(mesh, spec, &tiny_sim(0xA11), 32, 4);
+        let (seq_result, seq_reg) = metered(&fc, 0.55, 0xA11, 1);
+        let (shr_result, shr_reg) = metered(&fc, 0.55, 0xA11, 4);
         assert_eq!(seq_result.delivered, shr_result.delivered, "{label}");
         assert_eq!(seq_result.end_cycle, shr_result.end_cycle, "{label}");
         assert_eq!(
@@ -231,7 +242,7 @@ fn metered_sharded_run_matches_the_sequential_harness() {
         assert_eq!(
             seq_doc.render(),
             shr_doc.render(),
-            "{label}: sharded metered export diverged from run_metered"
+            "{label}: sharded metered export diverged from the sequential one"
         );
     }
 }
@@ -264,10 +275,12 @@ fn check_partition<R: Router + Send>(
     sequential: &[TraceEvent],
 ) {
     let nodes = net.mesh().node_count();
-    net.set_shard_plan(ShardPlan::from_cuts(nodes, cuts));
-    net.run_cycles_planned(500);
+    let plan = ShardPlan::from_cuts(nodes, cuts);
+    let shards = plan.shards();
+    net.set_shard_plan(plan);
+    net.run_cycles_sharded(500, shards);
     net.stop_injection();
-    net.run_cycles_planned(6_000);
+    net.run_cycles_sharded(6_000, shards);
     // Drained invariant: nothing in flight once injection stops and the
     // drain window passes.
     assert_eq!(

@@ -21,16 +21,15 @@ use frfc::engine::trace::TraceKind;
 use frfc::engine::warmup::WarmupConfig;
 use frfc::flow::LinkTiming;
 use frfc::fr::FrConfig;
-use frfc::network::{FlowControl, SimConfig};
+use frfc::network::{run, FlowControl, Instrument, Scenario, SimConfig};
 use frfc::provenance::{chrome_trace, stall_phase, Phase, ProvenanceReport};
 use frfc::topology::Mesh;
 use frfc::traffic::LoadSpec;
 use frfc::vc::VcConfig;
 
 /// A seconds-fast measurement config on the 4x4 mesh.
-fn tiny_sim(seed: u64) -> SimConfig {
+fn tiny_sim() -> SimConfig {
     SimConfig {
-        seed,
         warmup: WarmupConfig {
             min_cycles: 300,
             max_cycles: 2_000,
@@ -113,9 +112,15 @@ fn traced_runs_are_well_formed_and_deterministic() {
             FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control())
         };
         let label = format!("{}@{load}/s{seed}/k{sample_every}", fc.label());
-        let sim = tiny_sim(seed);
         let spec = LoadSpec::fraction_of_capacity(load, 5);
-        let (_, report) = fc.run_traced(mesh, spec, &sim, sample_every);
+        let scenario = Scenario::new(fc, mesh, spec, seed);
+        let traced = || {
+            run(&scenario, &tiny_sim(), Instrument::Traced { sample_every })
+                .expect("sequential")
+                .provenance
+                .expect("traced")
+        };
+        let report = traced();
         assert_well_formed(&label, &report);
         if use_fr {
             for r in &report.records {
@@ -132,7 +137,7 @@ fn traced_runs_are_well_formed_and_deterministic() {
             }
         }
         // Byte-identical export on a same-seed rerun.
-        let (_, report2) = fc.run_traced(mesh, spec, &sim, sample_every);
+        let report2 = traced();
         assert_eq!(
             chrome_trace(&report, mesh.width()).render(),
             chrome_trace(&report2, mesh.width()).render(),

@@ -27,7 +27,9 @@ use frfc::faults::{DeadLink, FaultPlan};
 use frfc::flow::{LinkTiming, Router};
 use frfc::fr::{FrConfig, FrRouter};
 use frfc::metrics::{strip_nondeterministic, MetricsRegistry, RunManifest, WindowKind};
-use frfc::network::{FlowControl, Network, ShardPlan, SimConfig};
+use frfc::network::{
+    run, FlowControl, Instrument, Network, RunOutput, Scenario, ShardPlan, SimConfig,
+};
 use frfc::topology::{Mesh, Port};
 use frfc::traffic::{LoadSpec, TrafficGenerator};
 use frfc::vc::{VcConfig, VcRouter};
@@ -222,9 +224,8 @@ fn telemetry_does_not_perturb_golden_traces() {
 }
 
 /// The tiny methodology config shared with `parallel_equivalence.rs`.
-fn tiny_sim(seed: u64) -> SimConfig {
+fn tiny_sim() -> SimConfig {
     SimConfig {
-        seed,
         warmup: WarmupConfig {
             min_cycles: 400,
             max_cycles: 3_000,
@@ -259,14 +260,36 @@ fn families() -> [FlowControl; 2] {
     ]
 }
 
+/// Runs `fc` at `load` on `threads` workers with `instrument` attached.
+fn run_on(
+    fc: &FlowControl,
+    load: f64,
+    seed: u64,
+    threads: usize,
+    instrument: Instrument,
+) -> RunOutput {
+    let spec = LoadSpec::fraction_of_capacity(load, PACKET_FLITS);
+    let scenario = Scenario {
+        threads,
+        ..Scenario::new(fc.clone(), Mesh::new(MESH.0, MESH.1), spec, seed)
+    };
+    run(&scenario, &tiny_sim(), instrument).expect("untraced runs cannot fail")
+}
+
+/// Windows of `1 << WINDOW_LOG2` cycles, series every 32 cycles.
+const TELEMETRY: Instrument = Instrument::Telemetry {
+    sample_period: 32,
+    window_log2: WINDOW_LOG2,
+};
+
 /// One telemetry run rendered with a fixed manifest and stripped of
 /// wall-clock data, so only the simulated history remains.
 fn stripped_export(fc: &FlowControl, load: f64, seed: u64, threads: usize) -> String {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let spec = LoadSpec::fraction_of_capacity(load, PACKET_FLITS);
-    let run = fc.run_telemetry(mesh, spec, &tiny_sim(seed), 32, WINDOW_LOG2, threads);
+    let registry = run_on(fc, load, seed, threads, TELEMETRY)
+        .registry
+        .expect("telemetry");
     let manifest = RunManifest::new("telemetry", seed, "tiny", fc.label());
-    let mut doc = run.registry.to_json(&manifest);
+    let mut doc = registry.to_json(&manifest);
     strip_nondeterministic(&mut doc);
     doc.render()
 }
@@ -305,10 +328,12 @@ fn partition_export(cuts: Option<&[usize]>) -> String {
         }
         Some(cuts) => {
             let nodes = net.mesh().node_count();
-            net.set_shard_plan(ShardPlan::from_cuts(nodes, cuts));
-            net.run_cycles_planned(500);
+            let plan = ShardPlan::from_cuts(nodes, cuts);
+            let shards = plan.shards();
+            net.set_shard_plan(plan);
+            net.run_cycles_sharded(500, shards);
             net.stop_injection();
-            net.run_cycles_planned(6_000);
+            net.run_cycles_sharded(6_000, shards);
         }
     }
     assert_eq!(net.tracker().in_flight(), 0, "network must drain");
@@ -337,13 +362,12 @@ fn windowed_export_is_byte_identical_across_random_shard_partitions() {
 
 #[test]
 fn window_sums_equal_aggregate_totals_and_profiler_attributes() {
-    let mesh = Mesh::new(MESH.0, MESH.1);
     for fc in families() {
         let label = fc.label();
         for threads in [1usize, 4] {
-            let spec = LoadSpec::fraction_of_capacity(0.55, PACKET_FLITS);
-            let run = fc.run_telemetry(mesh, spec, &tiny_sim(0xACC7), 32, WINDOW_LOG2, threads);
-            let reg = &run.registry;
+            let out = run_on(&fc, 0.55, 0xACC7, threads, TELEMETRY);
+            let reg = out.registry.as_ref().expect("telemetry");
+            let profile = out.profile.as_ref().expect("profiled");
             let mut sums = 0;
             for (name, w) in reg.windows() {
                 if w.kind == WindowKind::Sum {
@@ -363,18 +387,18 @@ fn window_sums_equal_aggregate_totals_and_profiler_attributes() {
             // latency sample the run measured plus the warm-up/drain
             // deliveries — i.e. everything the tracker saw.
             assert!(
-                reg.counter("net.delivered_packets") >= run.result.delivered,
+                reg.counter("net.delivered_packets") >= out.result.delivered,
                 "{label} threads={threads}: fewer deliveries recorded than sampled"
             );
             // Debug builds time the same phases release builds do; the
             // release gate in telemetry_report --quick holds the 95%
             // acceptance line, this guards against gross regressions.
             assert!(
-                run.profile.attributed_fraction() >= 0.90,
+                profile.attributed_fraction() >= 0.90,
                 "{label} threads={threads}: profiler attributes only {:.1}%",
-                run.profile.attributed_fraction() * 100.0
+                profile.attributed_fraction() * 100.0
             );
-            assert_eq!(run.profile.threads as usize, threads);
+            assert_eq!(profile.threads as usize, threads);
         }
     }
 }
@@ -384,12 +408,10 @@ fn window_sums_equal_aggregate_totals_and_profiler_attributes() {
 /// numbers as the uninstrumented harness.
 #[test]
 fn telemetry_run_result_matches_uninstrumented_run() {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let spec = LoadSpec::fraction_of_capacity(0.55, PACKET_FLITS);
     for fc in families() {
         let label = fc.label();
-        let plain = fc.run(mesh, spec, &tiny_sim(0xBEE));
-        let telem = fc.run_telemetry(mesh, spec, &tiny_sim(0xBEE), 32, WINDOW_LOG2, 1);
+        let plain = run_on(&fc, 0.55, 0xBEE, 1, Instrument::None).result;
+        let telem = run_on(&fc, 0.55, 0xBEE, 1, TELEMETRY);
         assert_eq!(plain.delivered, telem.result.delivered, "{label}");
         assert_eq!(plain.end_cycle, telem.result.end_cycle, "{label}");
         assert_eq!(plain.measure_start, telem.result.measure_start, "{label}");
